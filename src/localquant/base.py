@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,6 +57,20 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.covariates.shape[1]
+
+    @functools.cached_property
+    def first_column_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Stable argsort of covariate column 0, and that column in sorted order.
+
+        Built on first use and kept for the life of the dataset, so a kernel
+        window on column 0 is found by binary search instead of a pass over
+        every row.
+        """
+        order = np.argsort(self.covariates[:, 0], kind="stable")
+        values = self.covariates[order, 0]
+        order.flags.writeable = False
+        values.flags.writeable = False
+        return order, values
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,10 @@ from .weighted import WeightedSample
 # out of weight sums
 _WEIGHT_FLOOR = 1e-300
 
+# widening of the support window, relative to |center| + radius * bandwidth
+_WINDOW_MARGIN = 1e-12
+_TINY_NORMAL = float(np.finfo(float).tiny)
+
 # truncation radius for the gaussian kernel; keeps the maximum finite so
 # rejection sampling stays valid
 _GAUSS_RADIUS = 5.0
@@ -134,13 +138,28 @@ def localization_weights(data: Dataset, spec: LocalizationSpec) -> WeightedSampl
 
     Row order is preserved and responses are copied unchanged; rows outside
     the kernel support get weight exactly 0 and are retained so indices stay
-    aligned with the input.
+    aligned with the input. The kernel is evaluated only on the rows whose
+    first covariate lies in the support window of dimension 0, found by
+    binary search in `data.first_column_index`; every other row has a zero
+    factor in the product kernel.
     """
     if data.dim != spec.dim:
         raise DimensionMismatch(
             f"dataset has {data.dim} covariate(s) but the localization spec has {spec.dim}"
         )
-    u = (spec.center[None, :] - data.covariates) / spec.bandwidths[None, :]
-    weights = np.prod(spec.kernel.evaluate(u), axis=1)
-    weights[weights < _WEIGHT_FLOOR] = 0.0
+    order, column = data.first_column_index
+    center = float(spec.center[0])
+    half = spec.kernel.support_radius * float(spec.bandwidths[0])
+    # the relative margin dwarfs the rounding of (center - x) / h and of the
+    # window ends, so a row left out (x <= lower end or x > upper end) has
+    # |u| > support_radius in floating point too; the floor keeps the
+    # margin a normal number when center and half-width are tiny
+    margin = max(_WINDOW_MARGIN * (abs(center) + half), _TINY_NORMAL)
+    lo, hi = np.searchsorted(column, (center - half - margin, center + half + margin), "right")
+    rows = order[lo:hi]
+    u = (spec.center[None, :] - data.covariates[rows]) / spec.bandwidths[None, :]
+    local = np.prod(spec.kernel.evaluate(u), axis=1)
+    local[local < _WEIGHT_FLOOR] = 0.0
+    weights = np.zeros(data.n)
+    weights[rows] = local
     return WeightedSample(responses=data.responses, weights=weights)

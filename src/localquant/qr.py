@@ -18,19 +18,27 @@ from .base import Dataset, IntervalResult, QuantileSpec
 from .kernels import LocalizationSpec, localization_weights
 from .orderstat import df_quantile_ci
 from .rng import RngStream
-from .weighted import effective_sample_size
+from .weighted import WeightedSample, effective_sample_size
+
+
+def _accepted_rows(ws: WeightedSample, spec: LocalizationSpec, rng: RngStream) -> np.ndarray:
+    """Rows i, ascending, with U_i <= w_i / kernel_max for draw U_i of `rng`.
+
+    A zero-weight row is never kept, since every draw is positive, so only
+    the draws of rows with positive weight are computed.
+    """
+    rows = np.flatnonzero(ws.weights)
+    return rows[rng.uniforms_at(rows) <= ws.weights[rows] / spec.kernel_max]
 
 
 def rejection_sample(data: Dataset, spec: LocalizationSpec, rng: RngStream) -> np.ndarray:
     """Indices of rows accepted as i.i.d. draws from the localized law.
 
-    One uniform is consumed per row in row order, including zero-weight
-    rows, so the accepted set is invariant to any weight-pruning shortcut.
+    Row i is judged by draw i of the stream, whatever the weights of the
+    other rows, so the accepted set is invariant to any weight-pruning
+    shortcut.
     """
-    ws = localization_weights(data, spec)
-    w = ws.weights / spec.kernel_max
-    u = rng.uniforms(data.n)
-    return np.flatnonzero(u <= w)
+    return _accepted_rows(localization_weights(data, spec), spec, rng)
 
 
 def qr_interval(
@@ -42,7 +50,7 @@ def qr_interval(
     rows) produce the whole real line rather than an error.
     """
     ws = localization_weights(data, spec)
-    accepted = rejection_sample(data, spec, rng)
+    accepted = _accepted_rows(ws, spec, rng)
     n_eff = effective_sample_size(ws) if ws.weight_sum > 0.0 else 0.0
     if accepted.size == 0:
         return IntervalResult(

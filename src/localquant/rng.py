@@ -65,9 +65,23 @@ class RngStream:
         """
         if n < 0:
             raise ValueError("n must be nonnegative")
-        base = self._base()
-        counters = (np.uint64(base) + np.uint64(_GOLDEN) * np.arange(1, n + 1, dtype=np.uint64)
-                    if n else np.empty(0, dtype=np.uint64))
+        return self.uniforms_at(np.arange(n, dtype=np.uint64))
+
+    def uniforms_at(self, idx) -> np.ndarray:
+        """The draws with indices `idx`: uniforms(n)[idx] for any n > max(idx).
+
+        `idx` is an array of nonnegative integers, in any order and possibly
+        repeated; only the requested draws are computed.
+        """
+        idx = np.asarray(idx)
+        if idx.dtype.kind not in "iu":
+            raise ValueError("draw indices must be integers")
+        if idx.dtype.kind == "i" and idx.size and idx.min() < 0:
+            raise ValueError("draw indices must be nonnegative")
+        # counters wrap modulo 2**64, as uint64 arithmetic does
+        counters = np.uint64(self._base()) + np.uint64(_GOLDEN) * (
+            idx.astype(np.uint64, copy=False) + np.uint64(1)
+        )
         bits = _mix_array(counters)
         # 53 significant bits, offset by half a grid step so 0.0 never occurs
         return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53

@@ -64,12 +64,18 @@ class WeightedSample:
         it is monotone and ends at exactly 1.0; both the CDF and the quantile
         inverse read from this one vector, which keeps them exactly
         consistent with each other.
+
+        Only rows with positive weight are sorted. Dropping the zero-weight
+        rows changes no value either function returns: they add exactly 0.0
+        to the sequential cumulative sum, and the stable order among the
+        remaining rows is the same.
         """
         cached = self._cache.get("sorted")
         if cached is None:
             if self.weight_sum <= 0.0:
                 raise AllWeightsZero("all localization weights are zero")
-            order = np.argsort(self.responses, kind="stable")
+            rows = np.flatnonzero(self.weights)
+            order = rows[np.argsort(self.responses[rows], kind="stable")]
             resp = self.responses[order]
             cum = np.cumsum(self.weights[order])
             cum /= cum[-1]

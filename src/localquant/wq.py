@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .base import Dataset, IntervalResult, QuantileSpec
-from .errors import AllWeightsZero, LowEffectiveSampleSizeWarning
+from .errors import AllWeightsZero, DomainError, LowEffectiveSampleSizeWarning
 from .kernels import LocalizationSpec, localization_weights
 from .weighted import WeightedSample, effective_sample_size, weighted_quantile
 
@@ -72,8 +72,14 @@ def wq_interval(data: Dataset, spec: LocalizationSpec, q: QuantileSpec) -> Inter
     p_hat_1 = q.p + ndtri(q.alpha1) * sigma / root_n
     p_hat_2 = q.p + ndtri(1.0 - q.alpha + q.alpha1) * sigma / root_n
     # z_{alpha1} < z_{1-alpha+alpha1} whenever alpha < 1, so the levels are
-    # ordered by construction
-    assert p_hat_1 <= p_hat_2
+    # ordered unless one is NaN: with alpha1 = 0, z = -inf meets a sigma that
+    # underflowed to 0 because the weights are tiny
+    if not p_hat_1 <= p_hat_2:
+        raise DomainError(
+            f"WQ levels are not ordered (p_hat_lo={float(p_hat_1)!r}, "
+            f"p_hat_hi={float(p_hat_2)!r}, sigma_hat={sigma!r}): the localization "
+            "weights are too small for the plug-in variance"
+        )
     lower = weighted_quantile(ws, _clamp_level(p_hat_1))
     upper = weighted_quantile(ws, _clamp_level(p_hat_2))
     return IntervalResult(

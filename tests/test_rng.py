@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from localquant import RngStream
+from localquant import rng as rng_mod
 
 
 def test_same_key_same_sequence():
@@ -60,3 +61,35 @@ def test_negative_inputs_allowed():
 def test_rejects_negative_count():
     with pytest.raises(ValueError):
         RngStream(1).uniforms(-1)
+
+
+def _uniform_reference(stream, i):
+    """Draw i from Python ints: the counter wraps modulo 2**64 explicitly."""
+    counter = stream._base() + rng_mod._GOLDEN * (i + 1)
+    bits = rng_mod._mix_int(counter & rng_mod._MASK64)
+    return ((bits >> 11) + 0.5) * 2.0**-53, counter >= 2**64
+
+
+def test_uniforms_at_matches_uniforms():
+    r = RngStream(31337, 4)
+    full = r.uniforms(120)
+    idx = np.array([7, 0, 119, 7, 7, 64, 3, 0])  # unsorted, repeated
+    assert r.uniforms_at(idx).tobytes() == full[idx].tobytes()
+    assert r.uniforms_at(np.arange(120)).tobytes() == full.tobytes()
+    assert r.uniforms_at(np.array([], dtype=np.int64)).shape == (0,)
+
+
+def test_uniforms_at_counters_wrap():
+    r = RngStream(2**63 + 12345, 2**64 - 1)
+    idx = [0, 1, 2, 5, 2**40, 2**62 + 3]
+    expected = [_uniform_reference(r, i) for i in idx]
+    assert any(wrapped for _, wrapped in expected)
+    assert r.uniforms_at(idx).tolist() == [u for u, _ in expected]
+    assert r.uniforms_at(idx[:4]).tobytes() == r.uniforms(6)[idx[:4]].tobytes()
+
+
+def test_uniforms_at_rejects_bad_indices():
+    with pytest.raises(ValueError):
+        RngStream(1).uniforms_at([3, -1])
+    with pytest.raises(ValueError):
+        RngStream(1).uniforms_at([0.5])

@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
+import localquant
 from localquant import (
     AllWeightsZero,
     Dataset,
@@ -175,3 +179,41 @@ def test_scale_invariant_endpoints():
             uppers.append(weighted_quantile(ws, min(max(p2, 5e-324), 1.0)))
         assert lowers[0] == lowers[1]
         assert uppers[0] == uppers[1]
+
+
+_UNDER_O = """
+import warnings
+import numpy as np
+from localquant import Dataset, DomainError, Kernel, LocalizationSpec, QuantileSpec, wq_interval
+assert False, "asserts are live"
+x = np.linspace(0.0, 1.0, 101)
+res = wq_interval(Dataset(x[:, None], np.sin(7.0 * x)),
+                  LocalizationSpec(Kernel.TRIANGULAR, [0.4], [0.2]), QuantileSpec(0.5, 0.1, 0.05))
+print(repr(res.lower), repr(res.upper), repr(res.n_eff))
+# one row of weight 2**-537: sigma_hat underflows to 0, and with alpha1 = 0 the
+# lower level is -inf * 0 = nan
+d = 537
+tiny = Dataset(np.zeros((1, d)), [1.0])
+spec = LocalizationSpec(Kernel.UNIFORM, np.zeros(d), np.ones(d))
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    try:
+        wq_interval(tiny, spec, QuantileSpec(0.5, 0.1, 0.0))
+    except DomainError as exc:
+        print("DomainError", exc)
+"""
+
+
+def test_runs_under_python_optimize():
+    # python -O strips assert statements; the level check must still raise
+    src = os.path.dirname(os.path.dirname(localquant.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _UNDER_O], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    ).stdout.splitlines()
+    x = np.linspace(0.0, 1.0, 101)
+    spec = LocalizationSpec(Kernel.TRIANGULAR, [0.4], [0.2])
+    res = wq_interval(Dataset(x[:, None], np.sin(7.0 * x)), spec, QuantileSpec(0.5, 0.1, 0.05))
+    assert out[0] == f"{res.lower!r} {res.upper!r} {res.n_eff!r}"
+    assert out[1].startswith("DomainError WQ levels are not ordered (p_hat_lo=nan")
