@@ -18,7 +18,7 @@ class DomainError(LocalQuantError):
 
 
 class QuadratureFailure(LocalQuantError):
-    """Adaptive quadrature could not reach the requested tolerance."""
+    """A panel sum of the oracle's quadrature rule is not finite."""
 
 
 class BracketFailure(LocalQuantError):

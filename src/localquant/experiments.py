@@ -105,14 +105,16 @@ class CellSummary:
     theta_true: float
 
 
-def _replicate_results(config: ExperimentConfig, rep: int, thetas: dict) -> list[tuple]:
+def _replicate_results(
+    config: ExperimentConfig, rep: int, specs: dict, thetas: dict
+) -> list[tuple]:
     """(covered, finite, width, n_eff) per cell for one replicate."""
     rng = RngStream(config.master_seed, rep)
     data = sample_dataset(config.model, config.n, rng)
     q = config.quantile_spec
     out = []
     for cell_idx, (x0, h, method) in enumerate(config.cells):
-        spec = LocalizationSpec(config.kernel, [x0], [h])
+        spec = specs[(x0, h)]
         theta = thetas[(x0, h)]
         if method == "WQ":
             try:
@@ -126,41 +128,28 @@ def _replicate_results(config: ExperimentConfig, rep: int, thetas: dict) -> list
     return out
 
 
-# oracle quantiles are deterministic, so repeated studies on the same cells
-# (common in test sweeps) skip the quadrature cost
-_theta_memo: dict = {}
-
-
-def _theta_cached(config: ExperimentConfig, x0: float, h: float) -> float:
-    key = (config.model.signal, config.model.noise, config.kernel, x0, h, config.p)
-    theta = _theta_memo.get(key)
-    if theta is None:
-        spec = LocalizationSpec(config.kernel, [x0], [h])
-        theta = true_theta(config.model, spec, config.p)
-        _theta_memo[key] = theta
-    return theta
-
-
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[CellSummary]:
     """Run the study and aggregate one summary per (x0, h, method) cell.
 
     Deterministic for a fixed config: replicates use independent
     counter-based streams, so the worker count changes only the wall time.
     """
-    thetas = {
-        (x0, h): _theta_cached(config, x0, h)
+    # one spec per (x0, h), shared by the oracle, both methods and every replicate
+    specs = {
+        (x0, h): LocalizationSpec(config.kernel, [x0], [h])
         for x0 in config.x0_points
         for h in config.bandwidths
     }
+    thetas = {cell: true_theta(config.model, spec, config.p) for cell, spec in specs.items()}
     reps = range(1, config.n_sim + 1)
     with warnings.catch_warnings():
         # the harness reports mean_n_eff instead of warning per replicate
         warnings.simplefilter("ignore", LowEffectiveSampleSizeWarning)
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(lambda r: _replicate_results(config, r, thetas), reps))
+                rows = list(pool.map(lambda r: _replicate_results(config, r, specs, thetas), reps))
         else:
-            rows = [_replicate_results(config, r, thetas) for r in reps]
+            rows = [_replicate_results(config, r, specs, thetas) for r in reps]
 
     summaries = []
     for cell_idx, (x0, h, method) in enumerate(config.cells):

@@ -2,9 +2,11 @@
 
 Data follow Y = f(X) + eps with X ~ U[0,1], f one of six standard test
 signals on [0,1], and eps | X centered Gaussian with constant or
-x-dependent scale. The oracle computes the localized response CDF by
-adaptive quadrature (splitting at kernel and signal breakpoints) and inverts
-it by bisection, giving reference quantile values for coverage studies.
+x-dependent scale. The oracle computes the localized response CDF with a
+composite Gauss-Legendre rule (split at kernel and signal breakpoints, then
+into narrow panels whose nodes and kernel weights are shared by every y) and
+inverts it by bisection, giving reference quantile values for coverage
+studies.
 
 The indistinguishability analysis builds, for a localized median target, a
 second data distribution that is nearly impossible to tell apart from the
@@ -16,20 +18,25 @@ component's mass below a chosen point is pushed up to that point.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import bisect
-from scipy.special import ndtr
+from scipy.special import ndtr, roots_legendre
 
 from .base import Dataset
 from .errors import BracketFailure, DomainError, QuadratureFailure
 from .kernels import Kernel, LocalizationSpec
 from .rng import RngStream
 
-_QUAD_TOL = 1e-9
 _ROOT_TOL = 1e-10
+
+# composite Gauss-Legendre rule of the oracle: 20 nodes per panel, panels no
+# wider than 0.0025, about half the narrowest feature of the six signals (the
+# s = 32000 spike has sd 1/sqrt(64000) = 0.004, the narrowest bumps w = 0.005)
+_PANEL_WIDTH = 0.0025
+_GL_NODES, _GL_WEIGHTS = roots_legendre(20)
 
 # sub-stream tags for sample_dataset
 _TAG_X = 1
@@ -208,20 +215,42 @@ def _window(spec: LocalizationSpec) -> tuple[float, float]:
     return lo, hi
 
 
-def _integrate(func, lo: float, hi: float, breakpoints) -> float:
-    pts = sorted({p for p in breakpoints if lo < p < hi})
-    # full_output suppresses the IntegrationWarning; the error estimate is
-    # checked against the oracle tolerance instead
-    out = quad(
-        func, lo, hi, points=pts or None, limit=200, epsabs=1e-12, epsrel=1e-10,
-        full_output=1,
-    )
-    value, abserr = out[0], out[1]
-    if abserr > _QUAD_TOL:
-        raise QuadratureFailure(
-            f"quadrature error estimate {abserr:.2e} exceeds tolerance {_QUAD_TOL:.0e}"
-        )
-    return value
+def _panel_rule(lo: float, hi: float, breakpoints) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite Gauss-Legendre rule on [lo, hi].
+
+    The interval is split at the breakpoints inside it, and each piece into
+    equal panels no wider than _PANEL_WIDTH.
+    """
+    edges = np.unique([lo, hi, *(p for p in breakpoints if lo < p < hi)])
+    counts = np.ceil(np.diff(edges) / _PANEL_WIDTH).astype(int)
+    cuts = [np.linspace(a, b, k + 1) for a, b, k in zip(edges[:-1], edges[1:], counts)]
+    left = np.concatenate([c[:-1] for c in cuts])
+    half = 0.5 * (np.concatenate([c[1:] for c in cuts]) - left)
+    nodes = (left + half)[:, None] + half[:, None] * _GL_NODES
+    return nodes.ravel(), (half[:, None] * _GL_WEIGHTS).ravel()
+
+
+def _panel_sum(values: np.ndarray, weights: np.ndarray) -> float:
+    total = float(values @ weights)
+    if not math.isfinite(total):
+        raise QuadratureFailure("a quadrature panel sum is not finite")
+    return total
+
+
+def _conditional_cdf(model: SyntheticModel, x: np.ndarray):
+    """y -> P(Y <= y | X = x) at the fixed nodes x; f and sigma are evaluated once."""
+    f = signal_eval(model.signal, x)
+    s = model.noise.sigma(x)
+    return lambda y: ndtr((y - f) / s)
+
+
+def _kernel_weights(spec: LocalizationSpec, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Quadrature weights times the kernel at the nodes, normalized to sum to 1."""
+    k = spec.kernel.evaluate((float(spec.center[0]) - x) / float(spec.bandwidths[0]))
+    mass = _panel_sum(k, w)
+    if mass <= 0.0:
+        raise DomainError("kernel mass on [0, 1] is zero")
+    return w * k / mass
 
 
 def _breakpoints(model: SyntheticModel, spec: LocalizationSpec) -> tuple[float, ...]:
@@ -236,29 +265,16 @@ def _require_univariate(spec: LocalizationSpec):
 
 
 def _q_cdf_factory(model: SyntheticModel, spec: LocalizationSpec):
-    """Localized response CDF y -> Q_Y(y) with the kernel mass precomputed."""
+    """Localized response CDF y -> Q_Y(y) with the normalized kernel weights precomputed."""
     _require_univariate(spec)
-    lo, hi = _window(spec)
-    x0 = float(spec.center[0])
-    h = float(spec.bandwidths[0])
-    pts = _breakpoints(model, spec)
-    kern = lambda x: spec.kernel.evaluate((x0 - x) / h)
-    denom = _integrate(kern, lo, hi, pts)
-    if denom <= 0.0:
-        raise DomainError("kernel mass on [0, 1] is zero")
-
-    def q_cdf(y: float) -> float:
-        def integrand(x):
-            f = signal_eval(model.signal, x)
-            return ndtr((y - f) / model.noise.sigma(x)) * kern(x)
-
-        return _integrate(integrand, lo, hi, pts) / denom
-
-    return q_cdf
+    x, w = _panel_rule(*_window(spec), _breakpoints(model, spec))
+    kw = _kernel_weights(spec, x, w)
+    cdf = _conditional_cdf(model, x)
+    return lambda y: _panel_sum(cdf(y), kw)
 
 
 def true_q_cdf(model: SyntheticModel, spec: LocalizationSpec, y: float) -> float:
-    """Oracle localized response CDF Q_Y(y), by adaptive quadrature."""
+    """Oracle localized response CDF Q_Y(y), by the composite Gauss-Legendre rule."""
     return _q_cdf_factory(model, spec)(float(y))
 
 
@@ -320,29 +336,17 @@ def indistinguishable_pair(
 
     w = mixture_weight(h, h0)
     pts = _breakpoints(model, spec) + (x0 - h0, x0 + h0)
-    kern = lambda x: spec.kernel.evaluate((x0 - x) / h)
-
-    def mass(lo, hi):
-        return _integrate(kern, lo, hi, pts)
-
-    def phi_kern_integral(y, lo, hi):
-        def integrand(x):
-            f = signal_eval(model.signal, x)
-            return ndtr((y - f) / model.noise.sigma(x)) * kern(x)
-
-        return _integrate(integrand, lo, hi, pts)
-
-    core = (x0 - h0, x0 + h0)
-    core_mass = mass(*core)
-    ring_mass = mass(x0 - h, x0 - h0) + mass(x0 + h0, x0 + h)
+    x_core, w_core = _panel_rule(x0 - h0, x0 + h0, pts)
+    left, right = _panel_rule(x0 - h, x0 - h0, pts), _panel_rule(x0 + h0, x0 + h, pts)
+    x_ring, w_ring = np.concatenate([left[0], right[0]]), np.concatenate([left[1], right[1]])
+    cdf_core, cdf_ring = _conditional_cdf(model, x_core), _conditional_cdf(model, x_ring)
+    k_core, k_ring = _kernel_weights(spec, x_core, w_core), _kernel_weights(spec, x_ring, w_ring)
 
     def f1(y):
-        return phi_kern_integral(y, *core) / core_mass
+        return _panel_sum(cdf_core(y), k_core)
 
     def f2(y):
-        return (
-            phi_kern_integral(y, x0 - h, x0 - h0) + phi_kern_integral(y, x0 + h0, x0 + h)
-        ) / ring_mass
+        return _panel_sum(cdf_ring(y), k_ring)
 
     # modified CDF: w * F1(y) 1{y >= theta_star} + (1 - w) * F2(y)
     at_star = w * f1(theta_star) + (1.0 - w) * f2(theta_star)
@@ -363,9 +367,4 @@ def indistinguishable_pair(
         theta_prime = float(bisect(g, lo, hi, xtol=_ROOT_TOL, maxiter=200))
 
     # TV distance: mass moved, integrated without kernel reweighting
-    def tv_integrand(x):
-        f = signal_eval(model.signal, x)
-        return ndtr((theta_star - f) / model.noise.sigma(x))
-
-    tv = _integrate(tv_integrand, x0 - h0, x0 + h0, pts)
-    return theta_prime, float(tv)
+    return theta_prime, _panel_sum(cdf_core(theta_star), w_core)

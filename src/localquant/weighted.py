@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllWeightsZero
+from .errors import AllWeightsZero, DomainError
 
 _REL_TOL = 1e-12
 
@@ -101,7 +101,14 @@ def weighted_quantile(ws: WeightedSample, p: float) -> float:
 
 
 def effective_sample_size(ws: WeightedSample) -> float:
-    """(sum w)^2 / (sum w^2): the equivalent number of equally weighted rows."""
+    """(sum w)^2 / (sum w^2): the equivalent number of equally weighted rows.
+
+    Raises DomainError when sum w^2 underflows to zero (every weight below
+    about 1e-162), where the ratio is undefined in floating point.
+    """
     if ws.weight_sum <= 0.0:
         raise AllWeightsZero("all localization weights are zero")
-    return float(ws.weight_sum**2 / np.sum(ws.weights**2))
+    sum_sq = float(np.sum(ws.weights**2))
+    if sum_sq == 0.0:
+        raise DomainError("the squared localization weights underflow to zero")
+    return ws.weight_sum**2 / sum_sq

@@ -34,12 +34,15 @@ def sigma_hat_p(ws: WeightedSample, p: float, theta_tilde: float) -> float:
 
     Returns sqrt of [n^-1 sum w_i^2 (1{y_i <= theta_tilde} - p)^2] divided by
     [n^-1 sum w_i]^2, with n the raw row count including zero-weight rows.
+    Raises DomainError when the squared mean weight underflows to zero.
     """
     if ws.weight_sum <= 0.0:
         raise AllWeightsZero("all localization weights are zero")
     dev = (ws.responses <= theta_tilde).astype(float) - p
     num = float(np.mean(ws.weights**2 * dev**2))
     den = float(np.mean(ws.weights)) ** 2
+    if den == 0.0:
+        raise DomainError("the squared mean localization weight underflows to zero")
     return math.sqrt(num / den)
 
 

@@ -131,6 +131,21 @@ def test_empty_window_exit_code(sample_csv, capsys):
     assert code == 4
 
 
+def test_underflowing_weights_exit_code(tmp_path, capsys):
+    # every weight squares to 0: a data error, not a traceback
+    d = 13
+    path = tmp_path / "tiny.csv"
+    write_csv(path, [f"x{j}" for j in range(d)] + ["y"], [[-(1.0 - 2.0**-53)] * d + [1.0]])
+    code, out, err = run_cli(capsys, [
+        "ci", "--data", str(path), "--x-cols", ",".join(f"x{j}" for j in range(d)),
+        "--y-col", "y", "--x0", ",".join(["0"] * d), "--h", ",".join(["1"] * d),
+        "--method", "wq",
+    ])
+    assert code == 3
+    assert out == ""
+    assert "underflow" in err
+
+
 def test_bad_config_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "c.txt"
     cfg.write_text("signal = step\n")

@@ -11,11 +11,14 @@ import localquant
 from localquant import (
     AllWeightsZero,
     Dataset,
+    DomainError,
     Kernel,
     LocalizationSpec,
     LowEffectiveSampleSizeWarning,
     QuantileSpec,
     WeightedSample,
+    effective_sample_size,
+    localization_weights,
     sigma_hat_p,
     weighted_quantile,
     wq_interval,
@@ -155,6 +158,30 @@ def test_low_neff_warning():
     spec = LocalizationSpec(Kernel.TRIANGULAR, [0.5], [0.1])
     with pytest.warns(LowEffectiveSampleSizeWarning):
         wq_interval(data, spec, QuantileSpec(0.5, 0.1, 0.05))
+
+
+def test_underflowing_weights_raise_domain_error():
+    # one row under a 13-d triangular kernel at u = 1 - 2**-53 in every
+    # dimension: its weight (2**-53)**13 = 3.9e-208 squares to 0
+    d = 13
+    data = Dataset(np.full((1, d), -(1.0 - 2.0**-53)), [1.0])
+    spec = LocalizationSpec(Kernel.TRIANGULAR, np.zeros(d), np.ones(d))
+    ws = localization_weights(data, spec)
+    assert ws.weights[0] == pytest.approx(3.9e-208, rel=1e-2)
+    with pytest.raises(DomainError, match="underflow"):
+        effective_sample_size(ws)
+    with pytest.raises(DomainError, match="underflow"):
+        sigma_hat_p(ws, 0.5, 1.0)
+    with pytest.raises(DomainError, match="underflow"):
+        wq_interval(data, spec, QuantileSpec(0.5, 0.1, 0.05))
+
+
+def test_sigma_mean_weight_underflow():
+    # sum w^2 = 1e-322 survives as a subnormal, but (sum w / n)^2 does not
+    ws = WeightedSample(np.arange(100.0), np.r_[1e-161, np.zeros(99)])
+    assert effective_sample_size(ws) > 0.0
+    with pytest.raises(DomainError, match="underflow"):
+        sigma_hat_p(ws, 0.5, 0.0)
 
 
 def test_scale_invariant_endpoints():
