@@ -31,9 +31,9 @@ from .experiments import (
     summaries_csv,
     write_summaries,
 )
-from .kernels import Kernel, LocalizationSpec, kernel_eval, kernel_max, localization_weights
+from .kernels import Kernel, LocalizationSpec, localization_weights, localize
 from .orderstat import TieIndices, binom_cdf, df_quantile_ci, quantile_ci_indices
-from .qr import qr_interval, rejection_sample
+from .qr import qr_cells, qr_interval, rejection_sample
 from .rng import RngStream
 from .synthetic import (
     NoiseSetting,
@@ -47,8 +47,7 @@ from .synthetic import (
     true_theta,
 )
 from .weighted import WeightedSample, effective_sample_size, weighted_cdf, weighted_quantile
-from .wq import sigma_hat_p, wq_interval
-from .cli import load_csv
+from .wq import sigma_hat_p, wq_cells, wq_interval
 
 __version__ = "0.1.0"
 
@@ -82,12 +81,11 @@ __all__ = [
     "effective_sample_size",
     "full_grid_configs",
     "indistinguishable_pair",
-    "kernel_eval",
-    "kernel_max",
-    "load_csv",
     "localization_weights",
+    "localize",
     "mixture_weight",
     "parse_config",
+    "qr_cells",
     "qr_interval",
     "quantile_ci_indices",
     "rejection_sample",
@@ -100,6 +98,7 @@ __all__ = [
     "true_theta",
     "weighted_cdf",
     "weighted_quantile",
+    "wq_cells",
     "wq_interval",
     "write_summaries",
 ]

@@ -135,3 +135,29 @@ class IntervalResult:
 
     def contains(self, value: float) -> bool:
         return self.lower <= value <= self.upper
+
+
+@dataclass(frozen=True, eq=False)
+class IntervalBatch:
+    """One interval per cell, as arrays indexed by cell.
+
+    `errors[k]` is the LocalQuantError cell k raises, or None; a failed cell
+    has NaN endpoints. `details` maps further IntervalResult fields
+    (`accepted`, or `p_hat_lo`, `p_hat_hi` and `sigma_hat`) to per-cell lists.
+    """
+
+    method: str
+    lower: np.ndarray
+    upper: np.ndarray
+    n_eff: np.ndarray
+    errors: list
+    details: dict
+
+    def result(self, k: int) -> IntervalResult:
+        """Cell k as an IntervalResult; raises the error of a failed cell."""
+        if self.errors[k] is not None:
+            raise self.errors[k]
+        extra = {name: values[k] for name, values in self.details.items()}
+        return IntervalResult(
+            float(self.lower[k]), float(self.upper[k]), self.method, float(self.n_eff[k]), **extra
+        )

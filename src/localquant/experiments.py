@@ -12,19 +12,18 @@ from __future__ import annotations
 import csv
 import io
 import math
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .base import QuantileSpec
-from .errors import AllWeightsZero, LowEffectiveSampleSizeWarning
-from .kernels import Kernel, LocalizationSpec
-from .qr import qr_interval
+from .errors import AllWeightsZero
+from .kernels import Kernel, LocalizationSpec, localize
+from .qr import qr_cells
 from .rng import RngStream
 from .synthetic import NoiseSetting, Signal, SyntheticModel, sample_dataset, true_theta
-from .wq import wq_interval
+from .wq import wq_cells
 
 # tag for the rejection-acceptance sub-stream of a replicate stream
 _TAG_QR = 3
@@ -106,25 +105,37 @@ class CellSummary:
 
 
 def _replicate_results(
-    config: ExperimentConfig, rep: int, specs: dict, thetas: dict
-) -> list[tuple]:
-    """(covered, finite, width, n_eff) per cell for one replicate."""
+    config: ExperimentConfig, rep: int, specs: list, thetas: np.ndarray
+) -> np.ndarray:
+    """(covered, finite, width, n_eff) rows of one replicate, one column per cell.
+
+    Every (x0, h) cell of both methods comes from one localization of the
+    replicate's dataset. A WQ cell without weight counts as not covered and
+    not finite; any other failure is raised, the first in cell order.
+    """
     rng = RngStream(config.master_seed, rep)
     data = sample_dataset(config.model, config.n, rng)
+    loc = localize(data, specs)
     q = config.quantile_spec
-    out = []
-    for cell_idx, (x0, h, method) in enumerate(config.cells):
-        spec = specs[(x0, h)]
-        theta = thetas[(x0, h)]
+    qr_rng = rng.substream(_TAG_QR)
+    out = np.empty((4, len(config.cells)))
+    failures = []
+    for j, method in enumerate(config.methods):
+        cells = range(j, len(config.cells), len(config.methods))
         if method == "WQ":
-            try:
-                res = wq_interval(data, spec, q)
-            except AllWeightsZero:
-                out.append((False, False, math.nan, 0.0))
-                continue
+            batch = wq_cells(loc, q)
         else:
-            res = qr_interval(data, spec, q, rng.substream(_TAG_QR).substream(cell_idx))
-        out.append((res.contains(theta), res.is_finite, res.width, res.n_eff))
+            batch = qr_cells(loc, q, [qr_rng.substream(c) for c in cells])
+        failures += [(c, e) for c, e in zip(cells, batch.errors)
+                     if e is not None and not isinstance(e, AllWeightsZero)]
+        out[:, j::len(config.methods)] = (
+            (batch.lower <= thetas) & (thetas <= batch.upper),
+            np.isfinite(batch.lower) & np.isfinite(batch.upper),
+            batch.upper - batch.lower,
+            batch.n_eff,
+        )
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
     return out
 
 
@@ -134,39 +145,34 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[CellSumma
     Deterministic for a fixed config: replicates use independent
     counter-based streams, so the worker count changes only the wall time.
     """
-    # one spec per (x0, h), shared by the oracle, both methods and every replicate
-    specs = {
-        (x0, h): LocalizationSpec(config.kernel, [x0], [h])
-        for x0 in config.x0_points
-        for h in config.bandwidths
-    }
-    thetas = {cell: true_theta(config.model, spec, config.p) for cell, spec in specs.items()}
+    # one spec per (x0, h), in cell order, shared by the oracle and every replicate
+    specs = [LocalizationSpec(config.kernel, [x0], [h])
+             for x0 in config.x0_points for h in config.bandwidths]
+    thetas = np.array([true_theta(config.model, spec, config.p) for spec in specs])
     reps = range(1, config.n_sim + 1)
-    with warnings.catch_warnings():
-        # the harness reports mean_n_eff instead of warning per replicate
-        warnings.simplefilter("ignore", LowEffectiveSampleSizeWarning)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(lambda r: _replicate_results(config, r, specs, thetas), reps))
-        else:
-            rows = [_replicate_results(config, r, specs, thetas) for r in reps]
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(lambda r: _replicate_results(config, r, specs, thetas), reps))
+    else:
+        rows = [_replicate_results(config, r, specs, thetas) for r in reps]
+    # (quantity, cell, replicate): each cell's series is contiguous, so its
+    # means add in the same order as over a 1-d array of the replicates
+    stats = np.stack(rows, axis=2)
 
     summaries = []
     for cell_idx, (x0, h, method) in enumerate(config.cells):
-        covered = np.array([row[cell_idx][0] for row in rows], dtype=bool)
-        finite = np.array([row[cell_idx][1] for row in rows], dtype=bool)
-        widths = np.array([row[cell_idx][2] for row in rows], dtype=float)
-        n_effs = np.array([row[cell_idx][3] for row in rows], dtype=float)
+        covered, finite, widths, n_effs = stats[:, cell_idx]
+        finite = finite.astype(bool)
         summaries.append(
             CellSummary(
                 x0=x0,
                 h=h,
                 method=method,
-                coverage=float(np.mean(covered)),
+                coverage=float(np.mean(covered.astype(bool))),
                 mean_finite_width=float(np.mean(widths[finite])) if finite.any() else math.nan,
                 frac_infinite=float(np.mean(~finite)),
                 mean_n_eff=float(np.mean(n_effs)),
-                theta_true=thetas[(x0, h)],
+                theta_true=float(thetas[cell_idx // len(config.methods)]),
             )
         )
     return summaries

@@ -83,16 +83,6 @@ class Kernel(enum.Enum):
         return float(out) if out.ndim == 0 else out
 
 
-def kernel_eval(kernel: Kernel, u):
-    """Evaluate the kernel at scaled distance u."""
-    return kernel.evaluate(u)
-
-
-def kernel_max(kernel: Kernel) -> float:
-    """Maximum of the 1-d kernel."""
-    return kernel.max_value
-
-
 @dataclass(frozen=True, eq=False)
 class LocalizationSpec:
     """Kernel family, center point, and per-dimension bandwidths.
@@ -133,33 +123,79 @@ class LocalizationSpec:
         return self.kernel.max_value ** self.dim
 
 
+@dataclass(frozen=True, eq=False)
+class Localization:
+    """Kernel weights of C cells on one dataset; row k of `weights` is cell k.
+
+    `weights` has shape (C, n) in row order, zero outside each cell's support;
+    `rows` lists, ascending, every row with positive weight in some cell.
+    """
+
+    data: Dataset
+    kernel_max: float
+    weights: np.ndarray
+    rows: np.ndarray
+
+
+def _window_union(order: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Entries of `order` at positions covered by some [lo_k, hi_k)."""
+    spans: list[list[int]] = []
+    for a, b in sorted(zip(lo.tolist(), hi.tolist())):
+        if spans and a <= spans[-1][1]:
+            spans[-1][1] = max(spans[-1][1], b)
+        else:
+            spans.append([a, b])
+    return np.concatenate([order[a:b] for a, b in spans])
+
+
+def localize(data: Dataset, specs) -> Localization:
+    """Kernel weights of every row of `data` for each spec (cell) in `specs`.
+
+    The specs share one kernel. The kernel is evaluated only on the rows
+    whose first covariate lies in the support window of dimension 0 of some
+    cell, found by binary search in `data.first_column_index`; every other
+    row has a zero factor in each cell's product kernel. Within the union of
+    windows each cell is evaluated on every row, with the same elementwise
+    operations as a single cell, so a row outside a cell's own window gets
+    exactly 0 there too.
+    """
+    specs = list(specs)
+    if not specs:
+        raise ValueError("at least one localization spec is required")
+    kernel = specs[0].kernel
+    for spec in specs:
+        if spec.kernel is not kernel:
+            raise ValueError("the cells of one localization must share a kernel")
+        if data.dim != spec.dim:
+            raise DimensionMismatch(
+                f"dataset has {data.dim} covariate(s) but the localization spec has {spec.dim}"
+            )
+    centers = np.array([spec.center for spec in specs])
+    bandwidths = np.array([spec.bandwidths for spec in specs])
+    order, column = data.first_column_index
+    center = centers[:, 0]
+    half = kernel.support_radius * bandwidths[:, 0]
+    # the relative margin dwarfs the rounding of (center - x) / h and of the
+    # window ends, so a row left out (x <= lower end or x > upper end) has
+    # |u| > support_radius in floating point too; the floor keeps the
+    # margin a normal number when center and half-width are tiny
+    margin = np.maximum(_WINDOW_MARGIN * (np.abs(center) + half), _TINY_NORMAL)
+    lo = np.searchsorted(column, center - half - margin, "right")
+    hi = np.searchsorted(column, center + half + margin, "right")
+    rows = _window_union(order, lo, hi)
+    u = (centers[:, None, :] - data.covariates[rows]) / bandwidths[:, None, :]
+    local = np.prod(kernel.evaluate(u), axis=2)
+    local[local < _WEIGHT_FLOOR] = 0.0
+    weights = np.zeros((len(specs), data.n))
+    weights[:, rows] = local
+    return Localization(data, specs[0].kernel_max, weights, np.flatnonzero(weights.any(axis=0)))
+
+
 def localization_weights(data: Dataset, spec: LocalizationSpec) -> WeightedSample:
     """Attach kernel weights to every row of `data`.
 
     Row order is preserved and responses are copied unchanged; rows outside
     the kernel support get weight exactly 0 and are retained so indices stay
-    aligned with the input. The kernel is evaluated only on the rows whose
-    first covariate lies in the support window of dimension 0, found by
-    binary search in `data.first_column_index`; every other row has a zero
-    factor in the product kernel.
+    aligned with the input. The weights are those of `localize` with one cell.
     """
-    if data.dim != spec.dim:
-        raise DimensionMismatch(
-            f"dataset has {data.dim} covariate(s) but the localization spec has {spec.dim}"
-        )
-    order, column = data.first_column_index
-    center = float(spec.center[0])
-    half = spec.kernel.support_radius * float(spec.bandwidths[0])
-    # the relative margin dwarfs the rounding of (center - x) / h and of the
-    # window ends, so a row left out (x <= lower end or x > upper end) has
-    # |u| > support_radius in floating point too; the floor keeps the
-    # margin a normal number when center and half-width are tiny
-    margin = max(_WINDOW_MARGIN * (abs(center) + half), _TINY_NORMAL)
-    lo, hi = np.searchsorted(column, (center - half - margin, center + half + margin), "right")
-    rows = order[lo:hi]
-    u = (spec.center[None, :] - data.covariates[rows]) / spec.bandwidths[None, :]
-    local = np.prod(spec.kernel.evaluate(u), axis=1)
-    local[local < _WEIGHT_FLOOR] = 0.0
-    weights = np.zeros(data.n)
-    weights[rows] = local
-    return WeightedSample(responses=data.responses, weights=weights)
+    return WeightedSample(responses=data.responses, weights=localize(data, [spec]).weights[0])

@@ -48,12 +48,12 @@ class TieIndices:
         return cls(i_min=i_min, i_max=i_max)
 
 
-@lru_cache(maxsize=4096)
 def _binom_tables(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
     """(cdf, sf) for Binomial(n, p): cdf[k] = P(B <= k), sf[k] = P(B >= k).
 
     Terms are computed in log space and each tail is accumulated from its own
-    small end, so small tail probabilities keep full relative accuracy.
+    small end, so small tail probabilities keep full relative accuracy. Both
+    tables are monotone, since each is a running sum of nonnegative terms.
     """
     k = np.arange(n + 1, dtype=float)
     log_pmf = (
@@ -66,9 +66,19 @@ def _binom_tables(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
     pmf = np.exp(log_pmf)
     cdf = np.cumsum(pmf)
     sf = np.cumsum(pmf[::-1])[::-1]
-    cdf.flags.writeable = False
-    sf.flags.writeable = False
     return cdf, sf
+
+
+@lru_cache(maxsize=4096)
+def _ci_thresholds(n: int, p: float, alpha1: float, alpha2: float) -> tuple[int, int]:
+    """(L, U) with P(B(n,p) < i) <= alpha1 iff i <= L and P(B(n,p) >= j) <= alpha2
+    iff j >= U, for 1 <= i, j <= n.
+
+    Exact because both tables are monotone; only the two integers are kept,
+    so the cache stays small at any n.
+    """
+    cdf, sf = _binom_tables(n, p)
+    return int(np.count_nonzero(cdf[:n] <= alpha1)), int(np.count_nonzero(sf > alpha2))
 
 
 def binom_cdf(n: int, p: float, k: int) -> float:
@@ -100,16 +110,57 @@ def quantile_ci_indices(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    l_hat, u_hat = ci_ranks(ties.i_min[None, :], ties.i_max[None, :], [n], p, alpha1, alpha2)
+    return int(l_hat[0]), int(u_hat[0])
+
+
+def ci_ranks(i_min, i_max, sizes, p: float, alpha1: float, alpha2: float):
+    """quantile_ci_indices for C samples at once: arrays (l_hat, u_hat).
+
+    Row k of the (C, R) `i_min`/`i_max` holds first/last tie indices of
+    sample k, of size sizes[k] (entries may repeat, in any order). With the
+    thresholds (L, U) of `_ci_thresholds`, l_hat is the largest i_max <= L
+    (or 0) and u_hat the smallest i_min >= U (or size + 1): the last index
+    of a tie run is its i_max and the first its i_min.
+    """
     if not (0.0 <= alpha1 < 1.0 and 0.0 <= alpha2 < 1.0):
         raise ValueError("alpha1 and alpha2 must lie in [0, 1)")
-    cdf, sf = _binom_tables(n, p)
-    # P(B < I_{i,max}) for i = 0..n; the i = 0 sentinel contributes 0
-    below = np.concatenate(([0.0], cdf[ties.i_max - 1]))
-    l_hat = int(np.flatnonzero(below <= alpha1).max())
-    # P(B >= I_{j,min}) for j = 1..n+1; the j = n+1 sentinel contributes 0
-    above = np.concatenate((sf[ties.i_min], [0.0]))
-    u_hat = int(np.flatnonzero(above <= alpha2).min()) + 1
+    sizes = np.asarray(sizes)
+    bounds = np.array(
+        [_ci_thresholds(n, p, alpha1, alpha2) if n > 0 else (0, 1) for n in sizes.tolist()]
+    )
+    l_hat = np.where(i_max <= bounds[:, :1], i_max, 0).max(axis=1)
+    u_hat = np.where(i_min >= bounds[:, 1:], i_min, sizes[:, None] + 1).min(axis=1)
     return l_hat, u_hat
+
+
+def subsample_quantile_cis(values, members, p: float, alpha1: float, alpha2: float):
+    """Distribution-free CIs for the p-th quantile of C subsamples of one sample.
+
+    `values` is sorted ascending and row k of the (C, m) boolean `members`
+    marks the rows of i.i.d. subsample k. Returns the arrays (lower, upper,
+    sizes); an empty subsample gets the trivial interval (-inf, inf). Tie
+    runs are found once on `values`; within subsample k, the rank of each
+    member is the running count of members, so the last member of a run has
+    the rank count at the run's end.
+    """
+    count, m = members.shape
+    if m == 0:
+        return np.full(count, -math.inf), np.full(count, math.inf), np.zeros(count, dtype=int)
+    ranks = np.cumsum(members, axis=1)
+    sizes = ranks[:, -1]
+    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    i_max = ranks[:, np.append(starts[1:], m) - 1]
+    i_min = np.concatenate((np.zeros((count, 1), dtype=i_max.dtype), i_max[:, :-1]), axis=1) + 1
+    l_hat, u_hat = ci_ranks(i_min, i_max, sizes, p, alpha1, alpha2)
+    # the member of rank r sits where the running count first reaches r
+    lower = values[np.minimum((ranks < l_hat[:, None]).sum(axis=1), m - 1)]
+    upper = values[np.minimum((ranks < u_hat[:, None]).sum(axis=1), m - 1)]
+    return (
+        np.where(l_hat > 0, lower, -math.inf),
+        np.where(u_hat <= sizes, upper, math.inf),
+        sizes,
+    )
 
 
 def df_quantile_ci(ys, p: float, alpha1: float, alpha2: float) -> IntervalResult:
@@ -120,9 +171,9 @@ def df_quantile_ci(ys, p: float, alpha1: float, alpha2: float) -> IntervalResult
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
     n = ys.shape[0]
-    srt = np.sort(ys)
-    ties = TieIndices.from_sorted(srt)
-    l_hat, u_hat = quantile_ci_indices(n, ties, p, alpha1, alpha2)
-    lower = -math.inf if l_hat == 0 else float(srt[l_hat - 1])
-    upper = math.inf if u_hat == n + 1 else float(srt[u_hat - 1])
-    return IntervalResult(lower=lower, upper=upper, method="DFQ", n_eff=float(n))
+    lower, upper, _ = subsample_quantile_cis(
+        np.sort(ys), np.ones((1, n), dtype=bool), p, alpha1, alpha2
+    )
+    return IntervalResult(
+        lower=float(lower[0]), upper=float(upper[0]), method="DFQ", n_eff=float(n)
+    )

@@ -10,25 +10,24 @@ error.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .base import Dataset, IntervalResult, QuantileSpec
-from .kernels import LocalizationSpec, localization_weights
-from .orderstat import df_quantile_ci
-from .rng import RngStream
-from .weighted import WeightedSample, effective_sample_size
+from .base import Dataset, IntervalBatch, IntervalResult, QuantileSpec
+from .errors import DomainError
+from .kernels import Localization, LocalizationSpec, localize
+from .orderstat import subsample_quantile_cis
+from .rng import RngStream, stream_uniforms
+from .weighted import effective_sample_sizes
 
 
-def _accepted_rows(ws: WeightedSample, spec: LocalizationSpec, rng: RngStream) -> np.ndarray:
-    """Rows i, ascending, with U_i <= w_i / kernel_max for draw U_i of `rng`.
+def _accepted(loc: Localization, streams) -> np.ndarray:
+    """(C, m) mask over loc.rows: U_i <= w_i / kernel_max for draw i of streams[k].
 
     A zero-weight row is never kept, since every draw is positive, so only
-    the draws of rows with positive weight are computed.
+    the draws of rows with positive weight in some cell are computed.
     """
-    rows = np.flatnonzero(ws.weights)
-    return rows[rng.uniforms_at(rows) <= ws.weights[rows] / spec.kernel_max]
+    draws = stream_uniforms(streams, loc.rows)
+    return draws <= loc.weights[:, loc.rows] / loc.kernel_max
 
 
 def rejection_sample(data: Dataset, spec: LocalizationSpec, rng: RngStream) -> np.ndarray:
@@ -38,7 +37,32 @@ def rejection_sample(data: Dataset, spec: LocalizationSpec, rng: RngStream) -> n
     other rows, so the accepted set is invariant to any weight-pruning
     shortcut.
     """
-    return _accepted_rows(localization_weights(data, spec), spec, rng)
+    loc = localize(data, [spec])
+    return loc.rows[_accepted(loc, [rng])[0]]
+
+
+def qr_cells(loc: Localization, q: QuantileSpec, streams) -> IntervalBatch:
+    """Quantile Rejection intervals of every cell of `loc`; cell k draws from streams[k].
+
+    The rows accepted by some cell are sorted once, and the order-statistic
+    CI of each cell is read from its own acceptance mask in that order. A
+    cell without accepted rows gets the trivial interval; a cell fails only
+    with the DomainError of an underflowing n_eff.
+
+    The endpoint values come from `np.sort`, as for a single cell's own
+    accepted responses, so a one-cell call matches `df_quantile_ci` bit for
+    bit even where np.sort orders +0.0 and -0.0 differently from the stable
+    argsort that permutes the masks.
+    """
+    accept = _accepted(loc, streams)
+    cols = np.flatnonzero(accept.any(axis=0))
+    ys = loc.data.responses[loc.rows[cols]]
+    members = accept[:, cols[np.argsort(ys, kind="stable")]]
+    lower, upper, sizes = subsample_quantile_cis(np.sort(ys), members, q.p, q.alpha1, q.alpha2)
+    n_eff = effective_sample_sizes(loc.weights)
+    errors = [v if isinstance(v, DomainError) else None for v in n_eff]
+    n_eff = np.array([v if isinstance(v, float) else 0.0 for v in n_eff])
+    return IntervalBatch("QR", lower, upper, n_eff, errors, {"accepted": sizes.tolist()})
 
 
 def qr_interval(
@@ -49,18 +73,4 @@ def qr_interval(
     Valid for every sample size; degenerate inputs (no weight, no accepted
     rows) produce the whole real line rather than an error.
     """
-    ws = localization_weights(data, spec)
-    accepted = _accepted_rows(ws, spec, rng)
-    n_eff = effective_sample_size(ws) if ws.weight_sum > 0.0 else 0.0
-    if accepted.size == 0:
-        return IntervalResult(
-            lower=-math.inf, upper=math.inf, method="QR", n_eff=n_eff, accepted=0
-        )
-    sub = df_quantile_ci(data.responses[accepted], q.p, q.alpha1, q.alpha2)
-    return IntervalResult(
-        lower=sub.lower,
-        upper=sub.upper,
-        method="QR",
-        n_eff=n_eff,
-        accepted=int(accepted.size),
-    )
+    return qr_cells(localize(data, [spec]), q, [rng]).result(0)

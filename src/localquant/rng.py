@@ -73,19 +73,24 @@ class RngStream:
         `idx` is an array of nonnegative integers, in any order and possibly
         repeated; only the requested draws are computed.
         """
-        idx = np.asarray(idx)
-        if idx.dtype.kind not in "iu":
-            raise ValueError("draw indices must be integers")
-        if idx.dtype.kind == "i" and idx.size and idx.min() < 0:
-            raise ValueError("draw indices must be nonnegative")
-        # counters wrap modulo 2**64, as uint64 arithmetic does
-        counters = np.uint64(self._base()) + np.uint64(_GOLDEN) * (
-            idx.astype(np.uint64, copy=False) + np.uint64(1)
-        )
-        bits = _mix_array(counters)
-        # 53 significant bits, offset by half a grid step so 0.0 never occurs
-        return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        return stream_uniforms([self], idx)[0]
 
     def normals(self, n: int) -> np.ndarray:
         """`n` i.i.d. standard normal draws (inverse-CDF of `uniforms`)."""
         return ndtri(self.uniforms(n))
+
+
+def stream_uniforms(streams, idx) -> np.ndarray:
+    """Draws `idx` of several streams at once: row k is streams[k].uniforms_at(idx)."""
+    idx = np.asarray(idx)
+    if idx.dtype.kind not in "iu":
+        raise ValueError("draw indices must be integers")
+    if idx.dtype.kind == "i" and idx.size and idx.min() < 0:
+        raise ValueError("draw indices must be nonnegative")
+    bases = np.array([s._base() for s in streams], dtype=np.uint64)
+    bases = bases.reshape(bases.shape + (1,) * idx.ndim)
+    # counters wrap modulo 2**64, as uint64 arithmetic does
+    counters = bases + np.uint64(_GOLDEN) * (idx.astype(np.uint64, copy=False) + np.uint64(1))
+    bits = _mix_array(counters)
+    # 53 significant bits, offset by half a grid step so 0.0 never occurs
+    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53

@@ -15,8 +15,6 @@ import numpy as np
 
 from .errors import AllWeightsZero, DomainError
 
-_REL_TOL = 1e-12
-
 
 @dataclass(frozen=True, eq=False)
 class WeightedSample:
@@ -28,7 +26,6 @@ class WeightedSample:
 
     responses: np.ndarray
     weights: np.ndarray
-    weight_sum: float | None = None  # recomputed when omitted
 
     def __post_init__(self):
         object.__setattr__(self, "_cache", {})
@@ -46,11 +43,7 @@ class WeightedSample:
             raise ValueError("weights must be finite and nonnegative")
         resp.flags.writeable = False
         w.flags.writeable = False
-        total = float(np.sum(w))
-        if self.weight_sum is None:
-            object.__setattr__(self, "weight_sum", total)
-        elif abs(self.weight_sum - total) > _REL_TOL * max(total, 1.0):
-            raise ValueError("stored weight_sum disagrees with the recomputed sum")
+        object.__setattr__(self, "weight_sum", float(np.sum(w)))
         object.__setattr__(self, "responses", resp)
         object.__setattr__(self, "weights", w)
 
@@ -74,14 +67,37 @@ class WeightedSample:
         if cached is None:
             if self.weight_sum <= 0.0:
                 raise AllWeightsZero("all localization weights are zero")
-            rows = np.flatnonzero(self.weights)
-            order = rows[np.argsort(self.responses[rows], kind="stable")]
-            resp = self.responses[order]
-            cum = np.cumsum(self.weights[order])
-            cum /= cum[-1]
-            cached = (resp, cum)
+            resp, cum = sorted_cumulative(
+                self.responses, self.weights[None, :], np.flatnonzero(self.weights)
+            )
+            cached = (resp, cum[0])
             self._cache["sorted"] = cached
         return cached
+
+
+def sorted_cumulative(responses: np.ndarray, weights: np.ndarray, rows: np.ndarray):
+    """Responses of `rows` in stable ascending order, and the cumulative
+    normalized weights of each row of the (C, n) `weights` in that order.
+
+    A row of `weights` that is zero on some of `rows` adds exactly 0.0 there,
+    and the stable order restricted to its positive rows is their own stable
+    order, so its cumulative weights at those rows are the same bits as when
+    only they are sorted. Rows of `weights` with no weight stay all zero.
+    """
+    order = rows[np.argsort(responses[rows], kind="stable")]
+    cum = np.cumsum(weights[:, order], axis=1)
+    last = cum[:, -1:]
+    cum /= np.where(last > 0.0, last, 1.0)
+    return responses[order], cum
+
+
+def sorted_lookup(resp: np.ndarray, cum: np.ndarray, levels) -> np.ndarray:
+    """Per row k, the first of `resp` whose cumulative weight reaches levels[k].
+
+    Counting the entries below the level is exact because `cum` is monotone.
+    """
+    below = (cum < np.asarray(levels, dtype=float)[:, None]).sum(axis=1)
+    return resp[np.minimum(below, resp.shape[0] - 1)]
 
 
 def weighted_cdf(ws: WeightedSample, y: float) -> float:
@@ -96,8 +112,22 @@ def weighted_quantile(ws: WeightedSample, p: float) -> float:
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")
     resp, cum = ws._sorted()
-    idx = int(np.searchsorted(cum, p, side="left"))
-    return float(resp[min(idx, resp.shape[0] - 1)])
+    return float(sorted_lookup(resp, cum[None, :], [p])[0])
+
+
+def effective_sample_sizes(weights: np.ndarray) -> list:
+    """Per row of the (C, n) `weights`: its effective sample size, or the
+    AllWeightsZero or DomainError that effective_sample_size raises for it."""
+    out = []
+    # total**2 on a Python float, not numpy's x*x (see wq._sigma_rows)
+    for total, sum_sq in zip(weights.sum(axis=1).tolist(), (weights**2).sum(axis=1).tolist()):
+        if total <= 0.0:
+            out.append(AllWeightsZero("all localization weights are zero"))
+        elif sum_sq == 0.0:
+            out.append(DomainError("the squared localization weights underflow to zero"))
+        else:
+            out.append(total**2 / sum_sq)
+    return out
 
 
 def effective_sample_size(ws: WeightedSample) -> float:
@@ -106,9 +136,7 @@ def effective_sample_size(ws: WeightedSample) -> float:
     Raises DomainError when sum w^2 underflows to zero (every weight below
     about 1e-162), where the ratio is undefined in floating point.
     """
-    if ws.weight_sum <= 0.0:
-        raise AllWeightsZero("all localization weights are zero")
-    sum_sq = float(np.sum(ws.weights**2))
-    if sum_sq == 0.0:
-        raise DomainError("the squared localization weights underflow to zero")
-    return ws.weight_sum**2 / sum_sq
+    n_eff = effective_sample_sizes(ws.weights[None, :])[0]
+    if isinstance(n_eff, Exception):
+        raise n_eff
+    return n_eff

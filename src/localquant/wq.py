@@ -16,17 +16,28 @@ import warnings
 import numpy as np
 from scipy.special import ndtri
 
-from .base import Dataset, IntervalResult, QuantileSpec
+from .base import Dataset, IntervalBatch, IntervalResult, QuantileSpec
 from .errors import AllWeightsZero, DomainError, LowEffectiveSampleSizeWarning
-from .kernels import LocalizationSpec, localization_weights
-from .weighted import WeightedSample, effective_sample_size, weighted_quantile
+from .kernels import Localization, LocalizationSpec, localize
+from .weighted import WeightedSample, effective_sample_sizes, sorted_cumulative, sorted_lookup
 
 # below this effective sample size the normal calibration is unreliable
 NEFF_GUIDELINE = 10.0
 
-# smallest level weighted_quantile accepts; used when p_hat falls at or
-# below 0, which selects the smallest response carrying positive weight
-_TINY_LEVEL = np.nextafter(0.0, 1.0)
+# smallest level of the quantile inverse; used when p_hat falls at or below
+# 0, which selects the smallest response carrying positive weight
+_TINY_LEVEL = float(np.nextafter(0.0, 1.0))
+
+
+def _sigma_rows(weights: np.ndarray, responses: np.ndarray, p: float, thetas) -> list:
+    """sigma_hat_p of each row of the (C, n) `weights` at thetas[k], or None
+    where the squared mean weight underflows to zero."""
+    dev = (responses[None, :] <= np.asarray(thetas)[:, None]).astype(float) - p
+    nums = np.mean(weights**2 * dev**2, axis=1).tolist()
+    # Python's float ** (C pow) differs from numpy's x*x in the last bit for
+    # some x; the recorded outputs (tests/data, perfbench/reference.json) use **
+    dens = [mean**2 for mean in np.mean(weights, axis=1).tolist()]
+    return [math.sqrt(num / den) if den != 0.0 else None for num, den in zip(nums, dens)]
 
 
 def sigma_hat_p(ws: WeightedSample, p: float, theta_tilde: float) -> float:
@@ -38,17 +49,65 @@ def sigma_hat_p(ws: WeightedSample, p: float, theta_tilde: float) -> float:
     """
     if ws.weight_sum <= 0.0:
         raise AllWeightsZero("all localization weights are zero")
-    dev = (ws.responses <= theta_tilde).astype(float) - p
-    num = float(np.mean(ws.weights**2 * dev**2))
-    den = float(np.mean(ws.weights)) ** 2
-    if den == 0.0:
+    sigma = _sigma_rows(ws.weights[None, :], ws.responses, p, [theta_tilde])[0]
+    if sigma is None:
         raise DomainError("the squared mean localization weight underflows to zero")
-    return math.sqrt(num / den)
+    return sigma
 
 
 def _clamp_level(level: float) -> float:
     """Restrict a nominal CDF level to the domain (0, 1] of the inverse."""
     return min(max(level, _TINY_LEVEL), 1.0)
+
+
+def wq_cells(loc: Localization, q: QuantileSpec) -> IntervalBatch:
+    """Weighted Quantile intervals of every cell of `loc`, computed together.
+
+    The positive-weight rows of all cells are sorted once; each cell reads
+    its quantiles from its own row of cumulative weights in that order. A
+    cell fails with AllWeightsZero when it has no weight, and with
+    DomainError when its weights are too small for n_eff, sigma_hat or
+    ordered levels. Emits no warnings.
+    """
+    resp, weights = loc.data.responses, loc.weights
+    count = weights.shape[0]
+    n_effs = effective_sample_sizes(weights)
+    errors = [v if isinstance(v, Exception) else None for v in n_effs]
+    details = {name: [math.nan] * count for name in ("p_hat_lo", "p_hat_hi", "sigma_hat")}
+    if not loc.rows.size:  # no cell has weight
+        nan = np.full(count, math.nan)
+        return IntervalBatch("WQ", nan, nan, np.zeros(count), errors, details)
+    srt, cum = sorted_cumulative(resp, weights, loc.rows)
+    sigmas = _sigma_rows(weights, resp, q.p, sorted_lookup(srt, cum, [q.p] * count))
+    root_n = math.sqrt(loc.data.n)
+    z_lo = float(ndtri(q.alpha1))
+    z_hi = float(ndtri(1.0 - q.alpha + q.alpha1))
+    levels = np.ones((2, count))
+    for k, sigma in enumerate(sigmas):
+        if errors[k] is not None:
+            continue
+        if sigma is None:
+            errors[k] = DomainError("the squared mean localization weight underflows to zero")
+            continue
+        p_hat_1 = q.p + z_lo * sigma / root_n
+        p_hat_2 = q.p + z_hi * sigma / root_n
+        # z_lo < z_hi whenever alpha < 1, so the levels are ordered unless one
+        # is NaN: with alpha1 = 0, z = -inf meets a sigma that underflowed to
+        # 0 because the weights are tiny
+        if not p_hat_1 <= p_hat_2:
+            errors[k] = DomainError(
+                f"WQ levels are not ordered (p_hat_lo={p_hat_1!r}, "
+                f"p_hat_hi={p_hat_2!r}, sigma_hat={sigma!r}): the localization "
+                "weights are too small for the plug-in variance"
+            )
+            continue
+        levels[:, k] = _clamp_level(p_hat_1), _clamp_level(p_hat_2)
+        details["p_hat_lo"][k], details["p_hat_hi"][k] = p_hat_1, p_hat_2
+        details["sigma_hat"][k] = sigma
+    failed = np.array([e is not None for e in errors])
+    lower, upper = (np.where(failed, math.nan, sorted_lookup(srt, cum, lv)) for lv in levels)
+    n_effs = np.array([0.0 if isinstance(v, Exception) else v for v in n_effs])
+    return IntervalBatch("WQ", lower, upper, n_effs, errors, details)
 
 
 def wq_interval(data: Dataset, spec: LocalizationSpec, q: QuantileSpec) -> IntervalResult:
@@ -58,39 +117,12 @@ def wq_interval(data: Dataset, spec: LocalizationSpec, q: QuantileSpec) -> Inter
     LowEffectiveSampleSizeWarning when the effective sample size is below 10,
     where the asymptotic calibration is not trustworthy.
     """
-    ws = localization_weights(data, spec)
-    if ws.weight_sum <= 0.0:
-        raise AllWeightsZero("all localization weights are zero")
-    n_eff = effective_sample_size(ws)
-    if n_eff < NEFF_GUIDELINE:
+    res = wq_cells(localize(data, [spec]), q).result(0)
+    if res.n_eff < NEFF_GUIDELINE:
         warnings.warn(
-            f"effective sample size {n_eff:.2f} < {NEFF_GUIDELINE:g}; "
+            f"effective sample size {res.n_eff:.2f} < {NEFF_GUIDELINE:g}; "
             "coverage of the WQ interval is not reliable",
             LowEffectiveSampleSizeWarning,
             stacklevel=2,
         )
-    theta_tilde = weighted_quantile(ws, q.p)
-    sigma = sigma_hat_p(ws, q.p, theta_tilde)
-    root_n = math.sqrt(data.n)
-    p_hat_1 = q.p + ndtri(q.alpha1) * sigma / root_n
-    p_hat_2 = q.p + ndtri(1.0 - q.alpha + q.alpha1) * sigma / root_n
-    # z_{alpha1} < z_{1-alpha+alpha1} whenever alpha < 1, so the levels are
-    # ordered unless one is NaN: with alpha1 = 0, z = -inf meets a sigma that
-    # underflowed to 0 because the weights are tiny
-    if not p_hat_1 <= p_hat_2:
-        raise DomainError(
-            f"WQ levels are not ordered (p_hat_lo={float(p_hat_1)!r}, "
-            f"p_hat_hi={float(p_hat_2)!r}, sigma_hat={sigma!r}): the localization "
-            "weights are too small for the plug-in variance"
-        )
-    lower = weighted_quantile(ws, _clamp_level(p_hat_1))
-    upper = weighted_quantile(ws, _clamp_level(p_hat_2))
-    return IntervalResult(
-        lower=lower,
-        upper=upper,
-        method="WQ",
-        n_eff=n_eff,
-        p_hat_lo=p_hat_1,
-        p_hat_hi=p_hat_2,
-        sigma_hat=sigma,
-    )
+    return res

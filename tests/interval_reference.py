@@ -1,0 +1,125 @@
+"""Per-cell WQ and QR intervals as the library computed them before the
+batched engine: one localization, one sort and one binomial table lookup per
+interval. Kept as a reference for the engine tests; not collected by pytest.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from scipy.special import gammaln, ndtri
+
+from localquant import AllWeightsZero, DomainError, IntervalResult, TieIndices
+
+_WEIGHT_FLOOR = 1e-300
+_WINDOW_MARGIN = 1e-12
+_TINY_NORMAL = float(np.finfo(float).tiny)
+_TINY_LEVEL = np.nextafter(0.0, 1.0)
+
+
+def weights(data, spec):
+    """Kernel weights of every row, evaluated inside the column-0 window."""
+    order, column = data.first_column_index
+    center = float(spec.center[0])
+    half = spec.kernel.support_radius * float(spec.bandwidths[0])
+    margin = max(_WINDOW_MARGIN * (abs(center) + half), _TINY_NORMAL)
+    lo, hi = np.searchsorted(column, (center - half - margin, center + half + margin), "right")
+    rows = order[lo:hi]
+    u = (spec.center[None, :] - data.covariates[rows]) / spec.bandwidths[None, :]
+    local = np.prod(spec.kernel.evaluate(u), axis=1)
+    local[local < _WEIGHT_FLOOR] = 0.0
+    w = np.zeros(data.n)
+    w[rows] = local
+    return w
+
+
+def _sorted(resp, w):
+    rows = np.flatnonzero(w)
+    order = rows[np.argsort(resp[rows], kind="stable")]
+    cum = np.cumsum(w[order])
+    cum /= cum[-1]
+    return resp[order], cum
+
+
+def _quantile(resp, w, p):
+    srt, cum = _sorted(resp, w)
+    idx = int(np.searchsorted(cum, p, side="left"))
+    return float(srt[min(idx, srt.shape[0] - 1)])
+
+
+def _n_eff(w):
+    total = float(np.sum(w))
+    if total <= 0.0:
+        raise AllWeightsZero("all localization weights are zero")
+    sum_sq = float(np.sum(w**2))
+    if sum_sq == 0.0:
+        raise DomainError("the squared localization weights underflow to zero")
+    return total**2 / sum_sq
+
+
+def _sigma(resp, w, p, theta):
+    dev = (resp <= theta).astype(float) - p
+    num = float(np.mean(w**2 * dev**2))
+    den = float(np.mean(w)) ** 2
+    if den == 0.0:
+        raise DomainError("the squared mean localization weight underflows to zero")
+    return math.sqrt(num / den)
+
+
+def wq(data, spec, q):
+    """The WQ interval of one cell; raises what the cell raises."""
+    w = weights(data, spec)
+    n_eff = _n_eff(w)
+    theta = _quantile(data.responses, w, q.p)
+    sigma = _sigma(data.responses, w, q.p, theta)
+    root_n = math.sqrt(data.n)
+    p_hat_1 = q.p + float(ndtri(q.alpha1)) * sigma / root_n
+    p_hat_2 = q.p + float(ndtri(1.0 - q.alpha + q.alpha1)) * sigma / root_n
+    if not p_hat_1 <= p_hat_2:
+        raise DomainError("WQ levels are not ordered")
+    lower, upper = (
+        _quantile(data.responses, w, min(max(level, _TINY_LEVEL), 1.0))
+        for level in (p_hat_1, p_hat_2)
+    )
+    return IntervalResult(lower, upper, "WQ", n_eff, p_hat_lo=p_hat_1, p_hat_hi=p_hat_2,
+                          sigma_hat=sigma)
+
+
+def binom_tables(n, p):
+    k = np.arange(n + 1, dtype=float)
+    log_pmf = (
+        gammaln(n + 1.0)
+        - gammaln(k + 1.0)
+        - gammaln(n - k + 1.0)
+        + k * math.log(p)
+        + (n - k) * math.log1p(-p)
+    )
+    pmf = np.exp(log_pmf)
+    return np.cumsum(pmf), np.cumsum(pmf[::-1])[::-1]
+
+
+def ci_indices(n, ties, p, alpha1, alpha2):
+    """(l_hat, u_hat) read from the full binomial tables at every tie index."""
+    cdf, sf = binom_tables(n, p)
+    below = np.concatenate(([0.0], cdf[ties.i_max - 1]))
+    l_hat = int(np.flatnonzero(below <= alpha1).max())
+    above = np.concatenate((sf[ties.i_min], [0.0]))
+    u_hat = int(np.flatnonzero(above <= alpha2).min()) + 1
+    return l_hat, u_hat
+
+
+def qr(data, spec, q, rng):
+    """The QR interval of one cell drawing from `rng`; raises what the cell raises."""
+    w = weights(data, spec)
+    rows = np.flatnonzero(w)
+    accepted = rows[rng.uniforms_at(rows) <= w[rows] / spec.kernel_max]
+    n_eff = _n_eff(w) if float(np.sum(w)) > 0.0 else 0.0
+    if accepted.size == 0:
+        return IntervalResult(-math.inf, math.inf, "QR", n_eff, accepted=0)
+    srt = np.sort(data.responses[accepted])
+    n = srt.shape[0]
+    l_hat, u_hat = ci_indices(n, TieIndices.from_sorted(srt), q.p, q.alpha1, q.alpha2)
+    lower = -math.inf if l_hat == 0 else float(srt[l_hat - 1])
+    upper = math.inf if u_hat == n + 1 else float(srt[u_hat - 1])
+    return IntervalResult(lower, upper, "QR", n_eff, accepted=int(n))

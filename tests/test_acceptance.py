@@ -26,7 +26,6 @@ from localquant import (
     df_quantile_ci,
     effective_sample_size,
     indistinguishable_pair,
-    load_csv,
     qr_interval,
     run_experiment,
     sigma_hat_p,
@@ -35,6 +34,7 @@ from localquant import (
     weighted_quantile,
     wq_interval,
 )
+from localquant.cli import load_csv
 from localquant.experiments import ExperimentConfig
 
 SPIKES = SyntheticModel(Signal.SPIKES, NoiseSetting.S1)

@@ -2,10 +2,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import localquant
 from localquant import (
     ConstantColumn,
     Dataset,
@@ -16,12 +20,11 @@ from localquant import (
     QuantileSpec,
     RngStream,
     df_quantile_ci,
-    load_csv,
     localization_weights,
     qr_interval,
     wq_interval,
 )
-from localquant.cli import main, parse_endpoint
+from localquant.cli import load_csv, main, parse_endpoint
 
 
 def write_csv(path, header, rows):
@@ -306,3 +309,17 @@ def test_indist_default(capsys):
     assert rec["tv_distance"] == pytest.approx(0.010, abs=0.001)
     assert rec["theta_p"] == pytest.approx(1.35, abs=0.01)
     assert rec["mixture_weight"] == pytest.approx(0.51, rel=1e-12)
+
+
+def test_module_run_is_warning_free():
+    # importing the package must not import localquant.cli, or runpy warns
+    # that the module it is about to run is already loaded
+    src = os.path.dirname(os.path.dirname(localquant.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "localquant.cli", "target",
+         "--preset", "flat-sanity"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""

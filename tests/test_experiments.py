@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import pytest
 
@@ -151,3 +152,19 @@ def test_presets_and_full_grid():
     grid = full_grid_configs(n_sim=10)
     assert len(grid) == 6 * 3 * 2 * 3
     assert all(cfg.n_sim == 10 for cfg in grid)
+
+
+def test_threaded_run_emits_no_warnings():
+    # the h = 0.01 cell has n_eff < 10; only wq_interval warns about that,
+    # and the replicate loop no longer touches the process-wide filters
+    low_neff = ExperimentConfig(
+        model=TINY.model, kernel=TINY.kernel, bandwidths=(0.1, 0.01), x0_points=(0.5,),
+        p=0.5, alpha=0.1, alpha1=0.05, n=60, n_sim=20, master_seed=5,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        before = list(warnings.filters)
+        cells = run_experiment(low_neff, workers=2)
+        assert warnings.filters == before
+    assert 0.0 < cells[2].mean_n_eff < 10.0
+    assert cells == run_experiment(low_neff, workers=1)

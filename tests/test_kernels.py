@@ -7,8 +7,6 @@ from localquant import (
     DimensionMismatch,
     Kernel,
     LocalizationSpec,
-    kernel_eval,
-    kernel_max,
     localization_weights,
 )
 
@@ -19,26 +17,26 @@ def scalar_weight(kernel: Kernel, x0, x, h):
     """Brute-force product weight for one row, all in plain Python."""
     w = 1.0
     for x0j, xj, hj in zip(x0, x, h):
-        w *= kernel_eval(kernel, (x0j - xj) / hj)
+        w *= kernel.evaluate((x0j - xj) / hj)
     return w
 
 
 def test_triangular_values():
-    assert kernel_eval(Kernel.TRIANGULAR, 0.0) == 1.0
-    assert kernel_eval(Kernel.TRIANGULAR, 1.5) == 0.0
-    assert kernel_eval(Kernel.TRIANGULAR, 0.25) == 0.75
+    assert Kernel.TRIANGULAR.evaluate(0.0) == 1.0
+    assert Kernel.TRIANGULAR.evaluate(1.5) == 0.0
+    assert Kernel.TRIANGULAR.evaluate(0.25) == 0.75
 
 
 def test_biweight_peak():
     # (15/16) (1 - 0)^2
-    assert kernel_eval(Kernel.BIWEIGHT, 0.0) == 0.9375
-    assert kernel_max(Kernel.BIWEIGHT) == 0.9375
+    assert Kernel.BIWEIGHT.evaluate(0.0) == 0.9375
+    assert Kernel.BIWEIGHT.max_value == 0.9375
 
 
 def test_kernel_max_values():
-    assert kernel_max(Kernel.TRIANGULAR) == 1.0
-    assert kernel_max(Kernel.UNIFORM) == 0.5
-    assert abs(kernel_max(Kernel.GAUSSIAN) - 0.3989422804014327 / (2 * 0.9999997133484281 - 1)) < 1e-12
+    assert Kernel.TRIANGULAR.max_value == 1.0
+    assert Kernel.UNIFORM.max_value == 0.5
+    assert abs(Kernel.GAUSSIAN.max_value - 0.3989422804014327 / (2 * 0.9999997133484281 - 1)) < 1e-12
 
 
 def test_product_kernel_max():
@@ -52,17 +50,17 @@ def test_product_kernel_max():
 def test_bounds_and_symmetry(kernel):
     rng = np.random.default_rng(11)
     u = rng.uniform(-6, 6, size=500)
-    vals = kernel_eval(kernel, u)
+    vals = kernel.evaluate(u)
     assert np.all(vals >= 0.0)
-    assert np.all(vals <= kernel_max(kernel) + 1e-15)
-    assert np.allclose(vals, kernel_eval(kernel, -u), rtol=0, atol=0)
-    assert kernel_eval(kernel, 0.0) == kernel_max(kernel)
+    assert np.all(vals <= kernel.max_value + 1e-15)
+    assert np.allclose(vals, kernel.evaluate(-u), rtol=0, atol=0)
+    assert kernel.evaluate(0.0) == kernel.max_value
 
 
 @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=[k.value for k in ALL_KERNELS])
 def test_integrates_to_one(kernel):
     r = kernel.support_radius
-    total, _ = quad(lambda u: kernel_eval(kernel, u), -r, r, points=[0.0], limit=200)
+    total, _ = quad(lambda u: kernel.evaluate(u), -r, r, points=[0.0], limit=200)
     assert abs(total - 1.0) < 1e-6
 
 
@@ -149,7 +147,7 @@ def test_subnormal_weights_flush_to_zero():
     # to exactly 0 rather than linger as a subnormal
     d = 10
     u_edge = 1.0 - 2e-16
-    per_dim = kernel_eval(Kernel.BIWEIGHT, u_edge)
+    per_dim = Kernel.BIWEIGHT.evaluate(u_edge)
     assert 0.0 < per_dim**d < 1e-300
     data = Dataset(covariates=[[u_edge] * d], responses=[0.0])
     spec = LocalizationSpec(Kernel.BIWEIGHT, [0.0] * d, [1.0] * d)

@@ -164,10 +164,7 @@ def test_zero_weight_rows_retained():
     assert weighted_cdf(ws, 5.0) == 1.0
 
 
-def test_weight_sum_validation():
-    WeightedSample([1.0], [2.0], weight_sum=2.0)
-    with pytest.raises(ValueError):
-        WeightedSample([1.0], [2.0], weight_sum=2.5)
+def test_weight_and_level_validation():
     with pytest.raises(ValueError):
         WeightedSample([1.0, 2.0], [1.0, -0.5])
     with pytest.raises(ValueError):
