@@ -15,7 +15,9 @@ def _frozen_float_array(values, ndim: int, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must contain only finite values")
-    arr = arr.copy()
+    # adding 0.0 turns -0.0 into +0.0 and keeps every other value, so equal
+    # values are equal bits and every sort gives the same order statistics
+    arr = arr + 0.0
     arr.flags.writeable = False
     return arr
 

@@ -68,10 +68,9 @@ def load_csv(path: str, x_columns: list[str], y_column: str, normalize: bool = F
         for name in [*x_columns, y_column]:
             if name not in header:
                 raise MissingColumn(f"column {name!r} not found; header has {header}")
-        cols = [header.index(name) for name in x_columns]
-        ycol = header.index(y_column)
+        wanted = [header.index(name) for name in [*x_columns, y_column]]
 
-        xs, ys = [], []
+        table = []
         for rownum, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
@@ -80,25 +79,19 @@ def load_csv(path: str, x_columns: list[str], y_column: str, normalize: bool = F
                     f"expected {len(header)} fields, found {len(row)}", row=rownum
                 )
             try:
-                xs.append([float(row[c]) for c in cols])
+                table.append([float(row[c]) for c in wanted])
             except ValueError:
-                bad = next(c for c in cols if not _is_float(row[c]))
+                bad = next(c for c in wanted if not _is_float(row[c]))
                 raise ParseError(
                     f"could not parse {row[bad]!r} as a number", row=rownum, column=header[bad]
                 ) from None
-            try:
-                ys.append(float(row[ycol]))
-            except ValueError:
-                raise ParseError(
-                    f"could not parse {row[ycol]!r} as a number", row=rownum, column=y_column
-                ) from None
 
-    if not ys:
+    if not table:
         raise ParseError("file contains no data rows")
-    covariates = np.asarray(xs, dtype=float)
-    responses = np.asarray(ys, dtype=float)
-    if not np.all(np.isfinite(covariates)) or not np.all(np.isfinite(responses)):
+    table = np.asarray(table, dtype=float)
+    if not np.all(np.isfinite(table)):
         raise ParseError("file contains non-finite values")
+    covariates, responses = table[:, :-1], table[:, -1]
 
     normalization = None
     if normalize:

@@ -18,6 +18,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .base import IntervalResult
+from .weighted import sorted_lookup
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,8 +155,8 @@ def subsample_quantile_cis(values, members, p: float, alpha1: float, alpha2: flo
     i_min = np.concatenate((np.zeros((count, 1), dtype=i_max.dtype), i_max[:, :-1]), axis=1) + 1
     l_hat, u_hat = ci_ranks(i_min, i_max, sizes, p, alpha1, alpha2)
     # the member of rank r sits where the running count first reaches r
-    lower = values[np.minimum((ranks < l_hat[:, None]).sum(axis=1), m - 1)]
-    upper = values[np.minimum((ranks < u_hat[:, None]).sum(axis=1), m - 1)]
+    lower = sorted_lookup(values, ranks, l_hat)
+    upper = sorted_lookup(values, ranks, u_hat)
     return (
         np.where(l_hat > 0, lower, -math.inf),
         np.where(u_hat <= sizes, upper, math.inf),
@@ -171,8 +172,10 @@ def df_quantile_ci(ys, p: float, alpha1: float, alpha2: float) -> IntervalResult
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
     n = ys.shape[0]
+    values = ys + 0.0  # one sign of zero, as in every Dataset array
+    values.sort()
     lower, upper, _ = subsample_quantile_cis(
-        np.sort(ys), np.ones((1, n), dtype=bool), p, alpha1, alpha2
+        values, np.ones((1, n), dtype=bool), p, alpha1, alpha2
     )
     return IntervalResult(
         lower=float(lower[0]), upper=float(upper[0]), method="DFQ", n_eff=float(n)

@@ -48,17 +48,13 @@ def qr_cells(loc: Localization, q: QuantileSpec, streams) -> IntervalBatch:
     CI of each cell is read from its own acceptance mask in that order. A
     cell without accepted rows gets the trivial interval; a cell fails only
     with the DomainError of an underflowing n_eff.
-
-    The endpoint values come from `np.sort`, as for a single cell's own
-    accepted responses, so a one-cell call matches `df_quantile_ci` bit for
-    bit even where np.sort orders +0.0 and -0.0 differently from the stable
-    argsort that permutes the masks.
     """
     accept = _accepted(loc, streams)
     cols = np.flatnonzero(accept.any(axis=0))
     ys = loc.data.responses[loc.rows[cols]]
-    members = accept[:, cols[np.argsort(ys, kind="stable")]]
-    lower, upper, sizes = subsample_quantile_cis(np.sort(ys), members, q.p, q.alpha1, q.alpha2)
+    order = np.argsort(ys, kind="stable")
+    members = accept[:, cols[order]]
+    lower, upper, sizes = subsample_quantile_cis(ys[order], members, q.p, q.alpha1, q.alpha2)
     n_eff = effective_sample_sizes(loc.weights)
     errors = [v if isinstance(v, DomainError) else None for v in n_eff]
     n_eff = np.array([v if isinstance(v, float) else 0.0 for v in n_eff])

@@ -9,7 +9,7 @@ draws) consume non-overlapping randomness without coordination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
@@ -45,17 +45,20 @@ class RngStream:
 
     master_seed: int
     stream_id: int = 0
+    # counter base of every draw; not a cached_property, which locks across threads on 3.11
+    key: int = field(init=False, repr=False, compare=False)
 
-    def _base(self) -> int:
+    def __post_init__(self):
         k = _mix_int(self.master_seed)
-        return _mix_int(k ^ ((self.stream_id & _MASK64) * _GOLDEN & _MASK64))
+        key = _mix_int(k ^ ((self.stream_id & _MASK64) * _GOLDEN & _MASK64))
+        object.__setattr__(self, "key", key)
 
     def substream(self, tag: int) -> "RngStream":
         """Derive an independent stream keyed by `tag`."""
         # tag -> tag * odd + 1 is injective mod 2**64, so distinct tags
         # always yield distinct stream ids
         t = ((tag & _MASK64) * _GOLDEN + 1) & _MASK64
-        return RngStream(self.master_seed, _mix_int(self._base() ^ t))
+        return RngStream(self.master_seed, _mix_int(self.key ^ t))
 
     def uniforms(self, n: int) -> np.ndarray:
         """`n` i.i.d. draws from the open interval (0, 1).
@@ -87,10 +90,10 @@ def stream_uniforms(streams, idx) -> np.ndarray:
         raise ValueError("draw indices must be integers")
     if idx.dtype.kind == "i" and idx.size and idx.min() < 0:
         raise ValueError("draw indices must be nonnegative")
-    bases = np.array([s._base() for s in streams], dtype=np.uint64)
-    bases = bases.reshape(bases.shape + (1,) * idx.ndim)
+    keys = np.array([s.key for s in streams], dtype=np.uint64)
+    keys = keys.reshape(keys.shape + (1,) * idx.ndim)
     # counters wrap modulo 2**64, as uint64 arithmetic does
-    counters = bases + np.uint64(_GOLDEN) * (idx.astype(np.uint64, copy=False) + np.uint64(1))
+    counters = keys + np.uint64(_GOLDEN) * (idx.astype(np.uint64, copy=False) + np.uint64(1))
     bits = _mix_array(counters)
     # 53 significant bits, offset by half a grid step so 0.0 never occurs
     return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53

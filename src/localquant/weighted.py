@@ -9,6 +9,7 @@ values.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,6 @@ class WeightedSample:
     weights: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "_cache", {})
         resp = np.asarray(self.responses, dtype=float).copy()
         w = np.asarray(self.weights, dtype=float).copy()
         if resp.ndim != 1 or w.ndim != 1:
@@ -50,29 +50,27 @@ class WeightedSample:
     def __len__(self) -> int:
         return self.responses.shape[0]
 
-    def _sorted(self):
+    @functools.cached_property
+    def sorted_cdf(self) -> tuple[np.ndarray, np.ndarray]:
         """Responses in ascending order with cumulative normalized weights.
 
         The cumulative vector is self-normalized by its own final entry, so
         it is monotone and ends at exactly 1.0; both the CDF and the quantile
         inverse read from this one vector, which keeps them exactly
-        consistent with each other.
+        consistent with each other. Built on first use; raises AllWeightsZero
+        when there is no weight.
 
         Only rows with positive weight are sorted. Dropping the zero-weight
         rows changes no value either function returns: they add exactly 0.0
         to the sequential cumulative sum, and the stable order among the
         remaining rows is the same.
         """
-        cached = self._cache.get("sorted")
-        if cached is None:
-            if self.weight_sum <= 0.0:
-                raise AllWeightsZero("all localization weights are zero")
-            resp, cum = sorted_cumulative(
-                self.responses, self.weights[None, :], np.flatnonzero(self.weights)
-            )
-            cached = (resp, cum[0])
-            self._cache["sorted"] = cached
-        return cached
+        if self.weight_sum <= 0.0:
+            raise AllWeightsZero("all localization weights are zero")
+        resp, cum = sorted_cumulative(
+            self.responses, self.weights[None, :], np.flatnonzero(self.weights)
+        )
+        return resp, cum[0]
 
 
 def sorted_cumulative(responses: np.ndarray, weights: np.ndarray, rows: np.ndarray):
@@ -92,7 +90,8 @@ def sorted_cumulative(responses: np.ndarray, weights: np.ndarray, rows: np.ndarr
 
 
 def sorted_lookup(resp: np.ndarray, cum: np.ndarray, levels) -> np.ndarray:
-    """Per row k, the first of `resp` whose cumulative weight reaches levels[k].
+    """Per row k of the (C, m) `cum`, the first of `resp` whose cumulative
+    weight (or count) reaches levels[k].
 
     Counting the entries below the level is exact because `cum` is monotone.
     """
@@ -102,7 +101,7 @@ def sorted_lookup(resp: np.ndarray, cum: np.ndarray, levels) -> np.ndarray:
 
 def weighted_cdf(ws: WeightedSample, y: float) -> float:
     """Value of the reweighted empirical CDF at y."""
-    resp, cum = ws._sorted()
+    resp, cum = ws.sorted_cdf
     idx = int(np.searchsorted(resp, y, side="right"))
     return 0.0 if idx == 0 else float(cum[idx - 1])
 
@@ -111,7 +110,7 @@ def weighted_quantile(ws: WeightedSample, p: float) -> float:
     """Smallest observed response with cumulative normalized weight >= p."""
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")
-    resp, cum = ws._sorted()
+    resp, cum = ws.sorted_cdf
     return float(sorted_lookup(resp, cum[None, :], [p])[0])
 
 

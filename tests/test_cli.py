@@ -68,13 +68,18 @@ def test_missing_column(tmp_path):
         load_csv(str(path), ["x"], "y")
 
 
-def test_parse_error_location(tmp_path):
+@pytest.mark.parametrize(
+    "bad_row, column",
+    [(["oops", 2.0], "x"), ([0.2, "oops"], "y"), (["oops", "nope"], "x")],
+    ids=["covariate", "response", "covariate-first"],
+)
+def test_parse_error_location(tmp_path, bad_row, column):
     path = tmp_path / "t.csv"
-    write_csv(path, ["x", "y"], [[0.1, 1.0], ["oops", 2.0]])
+    write_csv(path, ["x", "y"], [[0.1, 1.0], bad_row])
     with pytest.raises(ParseError) as err:
         load_csv(str(path), ["x"], "y")
     assert err.value.row == 3
-    assert err.value.column == "x"
+    assert err.value.column == column
 
 
 def test_constant_column(tmp_path):

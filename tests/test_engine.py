@@ -55,10 +55,6 @@ def outcome(fn, *args):
         return type(exc)
 
 
-def unsigned_zero(text):
-    return "0.0" if text == "-0.0" else text
-
-
 def cell_outcomes(batch):
     out = []
     for k in range(len(batch.errors)):
@@ -108,16 +104,9 @@ def check_cells(data, specs, q, seed):
             alone_qr = cell_outcomes(qr_cells(localize(data, [spec]), q, [stream]))[0]
             assert alone_wq == expected_wq
             assert alone_qr == expected_qr
-            # among other cells: WQ bit for bit; a QR endpoint on a tie of
-            # +0.0 and -0.0 may carry either sign, as np.sort orders them
-            # arbitrarily
+            # among other cells: bit for bit as well
             assert wq_batch[k] == alone_wq
-            if isinstance(alone_qr, type):
-                assert qr_batch[k] is alone_qr
-            else:
-                assert [unsigned_zero(v) for v in qr_batch[k]] == [
-                    unsigned_zero(v) for v in alone_qr
-                ]
+            assert qr_batch[k] == alone_qr
 
 
 @settings(max_examples=300, deadline=None)

@@ -148,3 +148,33 @@ def test_accepted_distribution_matches_oracle():
 
     stat = stats.ks_2samp(np.asarray(accepted), ys)
     assert stat.pvalue > 0.01
+
+
+def test_dataset_stores_unsigned_zero():
+    data = Dataset([[-0.0, 1.0], [0.5, -0.0]], [-0.0, 2.0])
+    assert not np.signbit(data.covariates).any()
+    assert not np.signbit(data.responses).any()
+
+
+def endpoints(res):
+    return repr(res.lower), repr(res.upper)
+
+
+def test_signed_zeros_give_the_endpoints_of_unsigned_ones():
+    # a tie of +0.0 with -0.0 sorts in a platform-dependent order; the zero
+    # invariant makes every endpoint the bits of the sample whose zeros are +0.0
+    rng = np.random.default_rng(0)
+    spec = LocalizationSpec(Kernel.TRIANGULAR, [0.5], [0.3])
+    for trial in range(200):
+        n = int(rng.integers(1, 120))
+        y = np.round(0.6 * rng.normal(size=n)) + 0.0
+        signed = np.where(y == 0.0, np.copysign(0.0, rng.random(n) - 0.5), y)
+        x = rng.random(n)[:, None]
+        for p in (0.1, 0.5, 0.9):
+            assert endpoints(df_quantile_ci(signed, p, 0.05, 0.05)) == endpoints(
+                df_quantile_ci(y, p, 0.05, 0.05)
+            )
+            q = QuantileSpec(p, 0.1, 0.05)
+            assert endpoints(qr_interval(Dataset(x, signed), spec, q, RngStream(trial))) == (
+                endpoints(qr_interval(Dataset(x, y), spec, q, RngStream(trial)))
+            )

@@ -65,7 +65,7 @@ def test_rejects_negative_count():
 
 def _uniform_reference(stream, i):
     """Draw i from Python ints: the counter wraps modulo 2**64 explicitly."""
-    counter = stream._base() + rng_mod._GOLDEN * (i + 1)
+    counter = stream.key + rng_mod._GOLDEN * (i + 1)
     bits = rng_mod._mix_int(counter & rng_mod._MASK64)
     return ((bits >> 11) + 0.5) * 2.0**-53, counter >= 2**64
 
