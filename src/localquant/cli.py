@@ -250,28 +250,34 @@ def _cmd_ci(args, parser: argparse.ArgumentParser) -> int:
             parser.error("--x0 and --h are required for methods wq/qr")
     x_cols = [c.strip() for c in args.x_cols.split(",")] if args.x_cols else []
 
+    # (x0, h, spec) per query, checked before the data file is read; the
+    # dataset will have one covariate per name in x_cols
+    cells = []
+    if needs_kernel:
+        kernel = Kernel.from_name(args.kernel)
+        try:
+            centers = [_float_list(tok) for tok in args.x0]
+            bandwidths = [_float_list(tok) for tok in args.h]
+            if any(len(v) != len(x_cols) for v in centers + bandwidths):
+                raise DimensionMismatch(
+                    f"--x0/--h need {len(x_cols)} value(s) to match columns {x_cols}"
+                )
+            cells = [(c, h, LocalizationSpec(kernel, c, h)) for c in centers for h in bandwidths]
+        except ValueError as exc:
+            parser.error(f"--x0/--h: {exc}")
+
     data = load_csv(args.data, x_cols, args.y_col, normalize=args.normalize)
 
     records = []
-    if needs_kernel:
-        kernel = Kernel.from_name(args.kernel)
-        centers = [_float_list(tok) for tok in args.x0]
-        bandwidths = [_float_list(tok) for tok in args.h]
-        for center in centers:
-            for bw in bandwidths:
-                if len(center) != data.dim or len(bw) != data.dim:
-                    raise DimensionMismatch(
-                        f"--x0/--h need {data.dim} value(s) to match columns {x_cols}"
-                    )
-                spec = LocalizationSpec(kernel, center, bw)
-                for method in methods:
-                    if method == "wq":
-                        res = wq_interval(data, spec, q)
-                    elif method == "qr":
-                        res = qr_interval(data, spec, q, RngStream(args.seed))
-                    else:
-                        continue
-                    records.append(_interval_record(res, center, bw, q))
+    for center, bw, spec in cells:
+        for method in methods:
+            if method == "wq":
+                res = wq_interval(data, spec, q)
+            elif method == "qr":
+                res = qr_interval(data, spec, q, RngStream(args.seed))
+            else:
+                continue
+            records.append(_interval_record(res, center, bw, q))
     if "dfq" in methods:
         res = df_quantile_ci(data.responses, q.p, q.alpha1, q.alpha2)
         records.append(_interval_record(res, None, None, q))
@@ -286,6 +292,8 @@ def _open_out(path):
 
 
 def _cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
+    if args.workers < 1:
+        parser.error("--workers must be at least 1")
     if args.preset:
         config = PRESETS[args.preset]
     else:
@@ -294,7 +302,7 @@ def _cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
                 config = parse_config(fh.read())
         except (OSError, ValueError) as exc:
             parser.error(str(exc))
-    summaries = run_experiment(config, workers=max(1, args.workers))
+    summaries = run_experiment(config, workers=args.workers)
     out = _open_out(args.out)
     try:
         write_summaries(out, [(config, summaries)])
@@ -311,7 +319,7 @@ def _x0_grid(text: str) -> list[float]:
     return _float_list(text)
 
 
-def _cmd_target(args) -> int:
+def _cmd_target(args, parser: argparse.ArgumentParser) -> int:
     if args.preset == "flat-sanity":
         # step signal probed away from its jumps: the oracle must return the
         # same flat-region quantile at every center
@@ -319,7 +327,10 @@ def _cmd_target(args) -> int:
         grid = [float(v) for v in np.linspace(0.45, 0.55, 5)]
     else:
         signal, setting, kernel, h, p = args.signal, args.setting, args.kernel, args.h, args.p
-        grid = _x0_grid(args.x0_grid)
+        try:
+            grid = _x0_grid(args.x0_grid)
+        except ValueError as exc:
+            parser.error(f"--x0-grid {args.x0_grid!r}: {exc}")
     model = SyntheticModel(Signal.from_name(signal), NoiseSetting.from_number(setting))
     kern = Kernel.from_name(kernel)
     out = _open_out(args.out)
@@ -362,7 +373,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return _cmd_simulate(args, parser)
         if args.command == "target":
-            return _cmd_target(args)
+            return _cmd_target(args, parser)
         return _cmd_indist(args)
     except AllWeightsZero as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -211,7 +211,6 @@ def summaries_csv(config: ExperimentConfig, summaries: list[CellSummary]) -> str
 # ---------------------------------------------------------------------------
 # config files and presets
 
-_LIST_KEYS = {"x0", "h", "methods"}
 _REQUIRED_KEYS = {"signal", "setting", "kernel", "p", "alpha", "alpha1", "n", "n_sim", "seed",
                   "x0", "h"}
 

@@ -16,7 +16,7 @@ from scipy.special import ndtr
 
 from .base import Dataset
 from .errors import DimensionMismatch
-from .weighted import WeightedSample
+from .weighted import WeightedSample, weight_stats
 
 # weights below this are flushed to exactly zero to keep subnormal noise
 # out of weight sums
@@ -129,12 +129,16 @@ class Localization:
 
     `weights` has shape (C, n) in row order, zero outside each cell's support;
     `rows` lists, ascending, every row with positive weight in some cell.
+    `weight_sum`, `n_eff` and `errors` are `weighted.weight_stats(weights)`.
     """
 
     data: Dataset
     kernel_max: float
     weights: np.ndarray
     rows: np.ndarray
+    weight_sum: np.ndarray
+    n_eff: np.ndarray
+    errors: tuple
 
 
 def _window_union(order: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -188,7 +192,8 @@ def localize(data: Dataset, specs) -> Localization:
     local[local < _WEIGHT_FLOOR] = 0.0
     weights = np.zeros((len(specs), data.n))
     weights[:, rows] = local
-    return Localization(data, specs[0].kernel_max, weights, np.flatnonzero(weights.any(axis=0)))
+    support = np.flatnonzero(weights.any(axis=0))
+    return Localization(data, specs[0].kernel_max, weights, support, *weight_stats(weights))
 
 
 def localization_weights(data: Dataset, spec: LocalizationSpec) -> WeightedSample:

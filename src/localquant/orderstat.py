@@ -18,6 +18,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .base import IntervalResult
+from .errors import DomainError
 from .weighted import sorted_lookup
 
 
@@ -73,7 +74,7 @@ def _binom_tables(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=4096)
 def _ci_thresholds(n: int, p: float, alpha1: float, alpha2: float) -> tuple[int, int]:
     """(L, U) with P(B(n,p) < i) <= alpha1 iff i <= L and P(B(n,p) >= j) <= alpha2
-    iff j >= U, for 1 <= i, j <= n.
+    iff j >= U, for 1 <= i, j <= n; an empty sample (n = 0) gets (0, 1).
 
     Exact because both tables are monotone; only the two integers are kept,
     so the cache stays small at any n.
@@ -127,9 +128,7 @@ def ci_ranks(i_min, i_max, sizes, p: float, alpha1: float, alpha2: float):
     if not (0.0 <= alpha1 < 1.0 and 0.0 <= alpha2 < 1.0):
         raise ValueError("alpha1 and alpha2 must lie in [0, 1)")
     sizes = np.asarray(sizes)
-    bounds = np.array(
-        [_ci_thresholds(n, p, alpha1, alpha2) if n > 0 else (0, 1) for n in sizes.tolist()]
-    )
+    bounds = np.array([_ci_thresholds(n, p, alpha1, alpha2) for n in sizes.tolist()])
     l_hat = np.where(i_max <= bounds[:, :1], i_max, 0).max(axis=1)
     u_hat = np.where(i_min >= bounds[:, 1:], i_min, sizes[:, None] + 1).min(axis=1)
     return l_hat, u_hat
@@ -165,10 +164,12 @@ def subsample_quantile_cis(values, members, p: float, alpha1: float, alpha2: flo
 
 
 def df_quantile_ci(ys, p: float, alpha1: float, alpha2: float) -> IntervalResult:
-    """Distribution-free CI for the p-th quantile of an i.i.d. sample."""
+    """Distribution-free CI for the p-th quantile of an i.i.d. sample; NaN raises DomainError."""
     ys = np.asarray(ys, dtype=float)
     if ys.ndim != 1 or ys.shape[0] < 1:
         raise ValueError("ys must be a nonempty 1-d array")
+    if np.isnan(ys).any():
+        raise DomainError("responses cannot be NaN")
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
     n = ys.shape[0]

@@ -17,7 +17,6 @@ from .errors import DomainError
 from .kernels import Localization, LocalizationSpec, localize
 from .orderstat import subsample_quantile_cis
 from .rng import RngStream, stream_uniforms
-from .weighted import effective_sample_sizes
 
 
 def _accepted(loc: Localization, streams) -> np.ndarray:
@@ -55,10 +54,8 @@ def qr_cells(loc: Localization, q: QuantileSpec, streams) -> IntervalBatch:
     order = np.argsort(ys, kind="stable")
     members = accept[:, cols[order]]
     lower, upper, sizes = subsample_quantile_cis(ys[order], members, q.p, q.alpha1, q.alpha2)
-    n_eff = effective_sample_sizes(loc.weights)
-    errors = [v if isinstance(v, DomainError) else None for v in n_eff]
-    n_eff = np.array([v if isinstance(v, float) else 0.0 for v in n_eff])
-    return IntervalBatch("QR", lower, upper, n_eff, errors, {"accepted": sizes.tolist()})
+    errors = [e if isinstance(e, DomainError) else None for e in loc.errors]
+    return IntervalBatch("QR", lower, upper, loc.n_eff, errors, {"accepted": sizes.tolist()})
 
 
 def qr_interval(

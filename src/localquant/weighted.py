@@ -114,19 +114,22 @@ def weighted_quantile(ws: WeightedSample, p: float) -> float:
     return float(sorted_lookup(resp, cum[None, :], [p])[0])
 
 
-def effective_sample_sizes(weights: np.ndarray) -> list:
-    """Per row of the (C, n) `weights`: its effective sample size, or the
-    AllWeightsZero or DomainError that effective_sample_size raises for it."""
-    out = []
+def weight_stats(weights: np.ndarray):
+    """Per row of the (C, n) `weights`: its sum, its read-only effective sample size
+    (0.0 if the row fails) and the AllWeightsZero or DomainError it raises, or None."""
+    sums = weights.sum(axis=1)
+    errors, n_eff = [], np.zeros(sums.shape[0])
     # total**2 on a Python float, not numpy's x*x (see wq._sigma_rows)
-    for total, sum_sq in zip(weights.sum(axis=1).tolist(), (weights**2).sum(axis=1).tolist()):
+    for k, (total, sum_sq) in enumerate(zip(sums.tolist(), (weights**2).sum(axis=1).tolist())):
         if total <= 0.0:
-            out.append(AllWeightsZero("all localization weights are zero"))
+            errors.append(AllWeightsZero("all localization weights are zero"))
         elif sum_sq == 0.0:
-            out.append(DomainError("the squared localization weights underflow to zero"))
+            errors.append(DomainError("the squared localization weights underflow to zero"))
         else:
-            out.append(total**2 / sum_sq)
-    return out
+            errors.append(None)
+            n_eff[k] = total**2 / sum_sq
+    n_eff.flags.writeable = False
+    return sums, n_eff, tuple(errors)
 
 
 def effective_sample_size(ws: WeightedSample) -> float:
@@ -135,7 +138,7 @@ def effective_sample_size(ws: WeightedSample) -> float:
     Raises DomainError when sum w^2 underflows to zero (every weight below
     about 1e-162), where the ratio is undefined in floating point.
     """
-    n_eff = effective_sample_sizes(ws.weights[None, :])[0]
-    if isinstance(n_eff, Exception):
-        raise n_eff
-    return n_eff
+    _, n_eff, errors = weight_stats(ws.weights[None, :])
+    if errors[0] is not None:
+        raise errors[0]
+    return float(n_eff[0])

@@ -19,7 +19,7 @@ from scipy.special import ndtri
 from .base import Dataset, IntervalBatch, IntervalResult, QuantileSpec
 from .errors import AllWeightsZero, DomainError, LowEffectiveSampleSizeWarning
 from .kernels import Localization, LocalizationSpec, localize
-from .weighted import WeightedSample, effective_sample_sizes, sorted_cumulative, sorted_lookup
+from .weighted import WeightedSample, sorted_cumulative, sorted_lookup
 
 # below this effective sample size the normal calibration is unreliable
 NEFF_GUIDELINE = 10.0
@@ -29,14 +29,14 @@ NEFF_GUIDELINE = 10.0
 _TINY_LEVEL = float(np.nextafter(0.0, 1.0))
 
 
-def _sigma_rows(weights: np.ndarray, responses: np.ndarray, p: float, thetas) -> list:
-    """sigma_hat_p of each row of the (C, n) `weights` at thetas[k], or None
-    where the squared mean weight underflows to zero."""
+def _sigma_rows(weights: np.ndarray, sums, responses: np.ndarray, p: float, thetas) -> list:
+    """sigma_hat_p of each row of the (C, n) `weights`, whose row sums are
+    `sums`, at thetas[k]; None where the squared mean weight underflows to zero."""
     dev = (responses[None, :] <= np.asarray(thetas)[:, None]).astype(float) - p
     nums = np.mean(weights**2 * dev**2, axis=1).tolist()
-    # Python's float ** (C pow) differs from numpy's x*x in the last bit for
-    # some x; the recorded outputs (tests/data, perfbench/reference.json) use **
-    dens = [mean**2 for mean in np.mean(weights, axis=1).tolist()]
+    # sums / n is np.mean bit for bit; Python's ** (C pow) differs from numpy's
+    # x*x in the last bit for some x, and tests/data and perfbench/reference.json use **
+    dens = [mean**2 for mean in (np.asarray(sums) / weights.shape[1]).tolist()]
     return [math.sqrt(num / den) if den != 0.0 else None for num, den in zip(nums, dens)]
 
 
@@ -49,7 +49,7 @@ def sigma_hat_p(ws: WeightedSample, p: float, theta_tilde: float) -> float:
     """
     if ws.weight_sum <= 0.0:
         raise AllWeightsZero("all localization weights are zero")
-    sigma = _sigma_rows(ws.weights[None, :], ws.responses, p, [theta_tilde])[0]
+    sigma = _sigma_rows(ws.weights[None, :], [ws.weight_sum], ws.responses, p, [theta_tilde])[0]
     if sigma is None:
         raise DomainError("the squared mean localization weight underflows to zero")
     return sigma
@@ -71,14 +71,14 @@ def wq_cells(loc: Localization, q: QuantileSpec) -> IntervalBatch:
     """
     resp, weights = loc.data.responses, loc.weights
     count = weights.shape[0]
-    n_effs = effective_sample_sizes(weights)
-    errors = [v if isinstance(v, Exception) else None for v in n_effs]
+    errors = list(loc.errors)
     details = {name: [math.nan] * count for name in ("p_hat_lo", "p_hat_hi", "sigma_hat")}
     if not loc.rows.size:  # no cell has weight
         nan = np.full(count, math.nan)
-        return IntervalBatch("WQ", nan, nan, np.zeros(count), errors, details)
+        return IntervalBatch("WQ", nan, nan, loc.n_eff, errors, details)
     srt, cum = sorted_cumulative(resp, weights, loc.rows)
-    sigmas = _sigma_rows(weights, resp, q.p, sorted_lookup(srt, cum, [q.p] * count))
+    thetas = sorted_lookup(srt, cum, [q.p] * count)
+    sigmas = _sigma_rows(weights, loc.weight_sum, resp, q.p, thetas)
     root_n = math.sqrt(loc.data.n)
     z_lo = float(ndtri(q.alpha1))
     z_hi = float(ndtri(1.0 - q.alpha + q.alpha1))
@@ -106,8 +106,7 @@ def wq_cells(loc: Localization, q: QuantileSpec) -> IntervalBatch:
         details["sigma_hat"][k] = sigma
     failed = np.array([e is not None for e in errors])
     lower, upper = (np.where(failed, math.nan, sorted_lookup(srt, cum, lv)) for lv in levels)
-    n_effs = np.array([0.0 if isinstance(v, Exception) else v for v in n_effs])
-    return IntervalBatch("WQ", lower, upper, n_effs, errors, details)
+    return IntervalBatch("WQ", lower, upper, loc.n_eff, errors, details)
 
 
 def wq_interval(data: Dataset, spec: LocalizationSpec, q: QuantileSpec) -> IntervalResult:

@@ -1,11 +1,16 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
-Criteria 2-4 share a single 1000-replicate study of the spikes preset.
+Criteria 2-4 share a single 1000-replicate study of the spikes preset, whose
+CSV must also equal the one recorded in perfbench/reference.json.
 Criterion 8 runs only when the compliance dataset is supplied (see README).
 """
 
+import csv
+import io
+import json
 import math
 import os
+import pathlib
 import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -29,6 +34,7 @@ from localquant import (
     qr_interval,
     run_experiment,
     sigma_hat_p,
+    summaries_csv,
     true_theta,
     weighted_cdf,
     weighted_quantile,
@@ -103,6 +109,14 @@ def test_criterion_4_qr_coverage(spikes_study):
         f"QR>=WQ-0.02 per cell: {directional}; "
         f"tiny-n_eff cell (mean n_eff {tiny.mean_n_eff:.1f}): {tiny.coverage:.3f}",
     )
+
+
+def test_preset_csv_matches_benchmark_reference(spikes_study):
+    # the full paper-spikes-s1 CSV, as perfbench/reference.json records it
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "reference.json"
+    expected = json.loads(path.read_text())["sim-spikes"]["0"]["rows"]
+    text = summaries_csv(PRESETS["paper-spikes-s1"], spikes_study)
+    assert list(csv.reader(io.StringIO(text))) == expected
 
 
 def test_qr_no_narrower_than_wq(spikes_study):

@@ -154,6 +154,41 @@ def test_underflowing_weights_exit_code(tmp_path, capsys):
     assert "underflow" in err
 
 
+@pytest.mark.parametrize(
+    "x0, h", [("abc", "0.2"), ("0.5", "0.2;0.3"), ("0.5", "-1"), ("nan", "0.2")]
+)
+def test_bad_x0_h_is_usage_error_before_load(tmp_path, capsys, x0, h):
+    # the file does not exist, so reading it first would exit 3
+    with pytest.raises(SystemExit) as exc:
+        main(["ci", "--data", str(tmp_path / "missing.csv"), "--x-cols", "x", "--y-col", "y",
+              "--x0", x0, "--h", h, "--method", "wq"])
+    assert exc.value.code == 2
+    assert "--x0/--h" in capsys.readouterr().err
+
+
+def test_x0_arity_is_checked_before_load(tmp_path, capsys):
+    code, _, err = run_cli(capsys, ["ci", "--data", str(tmp_path / "missing.csv"),
+                                    "--x-cols", "x", "--y-col", "y", "--x0", "0.5,0.5",
+                                    "--h", "0.2", "--method", "wq"])
+    assert code == 3
+    assert "match columns" in err
+
+
+@pytest.mark.parametrize("grid", ["0.1:0.9:abc", "0.1:0.9", "0.1,x"])
+def test_bad_x0_grid_is_usage_error(capsys, grid):
+    with pytest.raises(SystemExit) as exc:
+        main(["target", "--x0-grid", grid])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_usage_error(capsys, workers):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--preset", "quick-spikes-s1", "--workers", workers])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
 def test_bad_config_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "c.txt"
     cfg.write_text("signal = step\n")

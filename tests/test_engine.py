@@ -9,6 +9,7 @@ a cell must come out the same whether it is computed alone or with others.
 import io
 import math
 import pathlib
+import sys
 import warnings
 
 import numpy as np
@@ -36,7 +37,8 @@ from localquant import (
     wq_cells,
     wq_interval,
 )
-from localquant import orderstat
+from localquant import orderstat, weighted
+from localquant.experiments import ExperimentConfig
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "quick-spikes-s1.csv"
 
@@ -113,6 +115,82 @@ def check_cells(data, specs, q, seed):
 @given(cases())
 def test_engine_matches_per_cell_reference(case):
     check_cells(*case)
+
+
+@st.composite
+def underflow_cases(draw):
+    """13-d cells on rows that include the point whose weight squares to 0."""
+    d = 13
+    edge = np.full(d, -(1.0 - 2.0**-53))
+    rows = [
+        edge if draw(st.booleans())
+        else np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    y = draw(st.lists(st.floats(-3.0, 3.0), min_size=len(rows), max_size=len(rows)))
+    # center 0 puts the edge rows at u = 1 - 2**-53, -0.9 near the middle, 5 outside
+    centers = draw(st.lists(st.sampled_from([0.0, -0.9, 5.0]), min_size=1, max_size=4))
+    specs = [LocalizationSpec(Kernel.TRIANGULAR, np.full(d, c), np.ones(d)) for c in centers]
+    return Dataset(np.array(rows), y), specs, QuantileSpec(0.5, 0.1, 0.05), draw(st.integers(0, 99))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(cases(), underflow_cases()))
+def test_localization_weight_stats_match_reference(case):
+    data, specs, q, seed = case
+    loc = localize(data, specs)
+    for k, spec in enumerate(specs):
+        w = ref.weights(data, spec)
+        assert repr(float(loc.weight_sum[k])) == repr(float(np.sum(w)))
+        try:
+            expected = ref._n_eff(w)
+        except (AllWeightsZero, DomainError) as exc:
+            assert type(loc.errors[k]) is type(exc)
+            assert loc.n_eff[k] == 0.0
+        else:
+            assert loc.errors[k] is None
+            assert repr(float(loc.n_eff[k])) == repr(expected)
+    # both methods report the cell's n_eff, which no caller can change
+    streams = [RngStream(seed).substream(k) for k in range(len(specs))]
+    for batch in (wq_cells(loc, q), qr_cells(loc, q, streams)):
+        assert np.array_equal(batch.n_eff, loc.n_eff)
+    with pytest.raises(ValueError):
+        loc.n_eff[0] = 1.0
+
+
+def count_weight_stats(monkeypatch):
+    """Route every module's weight_stats through a counter; returns the call list."""
+    calls = []
+    original = weighted.weight_stats
+
+    def counted(weights):
+        calls.append(weights.shape)
+        return original(weights)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("localquant") and getattr(module, "weight_stats", None) is original:
+            monkeypatch.setattr(module, "weight_stats", counted)
+    return calls
+
+
+def test_weight_stats_once_per_localization(monkeypatch):
+    calls = count_weight_stats(monkeypatch)
+    x = np.linspace(0.0, 1.0, 41)
+    data = Dataset(x[:, None], np.sin(9.0 * x))
+    specs = [LocalizationSpec(Kernel.TRIANGULAR, [c], [0.1]) for c in (0.5, 3.0, 0.2)]
+    q = QuantileSpec(0.5, 0.1, 0.05)
+    loc = localize(data, specs)
+    wq_cells(loc, q)
+    qr_cells(loc, q, [RngStream(8).substream(k) for k in range(3)])
+    assert calls == [(3, 41)]
+    # a study computes them once per replicate, for both methods together
+    calls.clear()
+    config = ExperimentConfig(
+        model=PRESETS["quick-spikes-s1"].model, kernel=Kernel.TRIANGULAR, bandwidths=(0.1, 0.05),
+        x0_points=(0.3, 0.5), p=0.5, alpha=0.1, alpha1=0.05, n=60, n_sim=7, master_seed=3,
+    )
+    run_experiment(config)
+    assert calls == [(4, 60)] * 7
 
 
 def test_empty_support_cells_among_others():

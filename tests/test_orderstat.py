@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from localquant import TieIndices, binom_cdf, df_quantile_ci, quantile_ci_indices
+from localquant import DomainError, TieIndices, binom_cdf, df_quantile_ci, quantile_ci_indices
+from localquant import orderstat
 
 
 def binom_cdf_oracle(n, p, k):
@@ -148,6 +149,22 @@ def test_df_ci_five_distinct():
 def test_df_ci_point_mass():
     res = df_quantile_ci([1.0] * 5, 0.5, 0.05, 0.05)
     assert res.contains(1.0)
+
+
+@pytest.mark.parametrize("ys", [[math.nan] + list(range(1, 10)), [1.0] * 40 + [math.nan]])
+def test_df_ci_rejects_nan(ys):
+    # a NaN would sort last and count as a sample
+    with pytest.raises(DomainError, match="NaN"):
+        df_quantile_ci(ys, 0.5, 0.05, 0.05)
+
+
+@pytest.mark.parametrize("p", [0.01, 0.2, 0.5, 0.8, 0.99])
+def test_empty_sample_thresholds_give_trivial_interval(p):
+    # ci_ranks relies on (0, 1) for an empty subsample: no lower, no upper rank
+    alphas = [0.0, 1e-9, 0.01, 0.05, 0.1, 0.5, 0.99]
+    for alpha1 in alphas:
+        for alpha2 in alphas:
+            assert orderstat._ci_thresholds(0, p, alpha1, alpha2) == (0, 1)
 
 
 def test_df_ci_uniform_median_coverage():
