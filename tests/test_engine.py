@@ -119,7 +119,7 @@ def test_engine_matches_per_cell_reference(case):
 
 @st.composite
 def underflow_cases(draw):
-    """13-d cells on rows that include the point whose weight squares to 0."""
+    """13-d cells on rows that may include the point whose weight squares to 0."""
     d = 13
     edge = np.full(d, -(1.0 - 2.0**-53))
     rows = [
