@@ -26,6 +26,7 @@ from .errors import (
     AllWeightsZero,
     ConstantColumn,
     DimensionMismatch,
+    DomainError,
     LocalQuantError,
     MissingColumn,
     ParseError,
@@ -320,25 +321,28 @@ def _x0_grid(text: str) -> list[float]:
 
 
 def _cmd_target(args, parser: argparse.ArgumentParser) -> int:
+    signal, setting, kernel, h, p = args.signal, args.setting, args.kernel, args.h, args.p
+    grid_text = args.x0_grid
     if args.preset == "flat-sanity":
         # step signal probed away from its jumps: the oracle must return the
         # same flat-region quantile at every center
-        signal, setting, kernel, h, p = "step", 1, "triangular", 0.04, 0.5
-        grid = [float(v) for v in np.linspace(0.45, 0.55, 5)]
-    else:
-        signal, setting, kernel, h, p = args.signal, args.setting, args.kernel, args.h, args.p
-        try:
-            grid = _x0_grid(args.x0_grid)
-        except ValueError as exc:
-            parser.error(f"--x0-grid {args.x0_grid!r}: {exc}")
+        signal, setting, kernel, h, p, grid_text = "step", 1, "triangular", 0.04, 0.5, "0.45:0.55:5"
     model = SyntheticModel(Signal.from_name(signal), NoiseSetting.from_number(setting))
     kern = Kernel.from_name(kernel)
+    # every theta is computed before the output is opened, so a bad argument
+    # writes nothing
+    try:
+        grid = _x0_grid(grid_text)
+        if not grid:
+            raise ValueError("the grid is empty")
+        thetas = [true_theta(model, LocalizationSpec(kern, [x0], [h]), p) for x0 in grid]
+    except (ValueError, DomainError) as exc:
+        parser.error(f"--x0-grid/--h/--p: {exc}")
     out = _open_out(args.out)
     try:
         writer = csv.writer(out)
         writer.writerow(["signal", "setting", "kernel", "p", "h", "x0", "theta"])
-        for x0 in grid:
-            theta = true_theta(model, LocalizationSpec(kern, [x0], [h]), p)
+        for x0, theta in zip(grid, thetas):
             writer.writerow([signal, setting, kernel, repr(p), repr(h), repr(x0), repr(theta)])
     finally:
         if args.out:
@@ -346,11 +350,14 @@ def _cmd_target(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _cmd_indist(args) -> int:
+def _cmd_indist(args, parser: argparse.ArgumentParser) -> int:
     model = SyntheticModel(Signal.from_name(args.signal), NoiseSetting.from_number(args.setting))
-    spec = LocalizationSpec(Kernel.TRIANGULAR, [args.x0], [args.h])
-    theta_p = true_theta(model, spec, args.p)
-    theta_prime, tv = indistinguishable_pair(model, spec, args.h0, args.theta_star)
+    try:
+        spec = LocalizationSpec(Kernel.TRIANGULAR, [args.x0], [args.h])
+        theta_p = true_theta(model, spec, args.p)
+        theta_prime, tv = indistinguishable_pair(model, spec, args.h0, args.theta_star)
+    except (ValueError, DomainError) as exc:
+        parser.error(str(exc))
     print(
         json.dumps(
             {
@@ -374,7 +381,7 @@ def main(argv=None) -> int:
             return _cmd_simulate(args, parser)
         if args.command == "target":
             return _cmd_target(args, parser)
-        return _cmd_indist(args)
+        return _cmd_indist(args, parser)
     except AllWeightsZero as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_NO_WEIGHT

@@ -13,7 +13,7 @@ import csv
 import io
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,6 +59,9 @@ class ExperimentConfig:
     n_sim: int
     master_seed: int
     methods: tuple[str, ...] = ("WQ", "QR")
+    # one spec per (x0, h), in cell order, shared by the oracle and every replicate
+    specs: tuple[LocalizationSpec, ...] = field(init=False, repr=False, compare=False)
+    quantile_spec: QuantileSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "bandwidths", tuple(float(h) for h in self.bandwidths))
@@ -70,14 +73,15 @@ class ExperimentConfig:
             raise ValueError("n must be at least 1")
         if not self.bandwidths or not self.x0_points:
             raise ValueError("the (x0, h) grid must be nonempty")
+        if not self.methods:
+            raise ValueError("at least one method is required")
         for m in self.methods:
             if m not in ("WQ", "QR"):
                 raise ValueError(f"unknown method {m!r}; expected WQ or QR")
-        QuantileSpec(self.p, self.alpha, self.alpha1)  # validates the triple
-
-    @property
-    def quantile_spec(self) -> QuantileSpec:
-        return QuantileSpec(self.p, self.alpha, self.alpha1)
+        object.__setattr__(self, "specs", tuple(
+            LocalizationSpec(self.kernel, [x0], [h])
+            for x0 in self.x0_points for h in self.bandwidths))
+        object.__setattr__(self, "quantile_spec", QuantileSpec(self.p, self.alpha, self.alpha1))
 
     @property
     def cells(self) -> list[tuple[float, float, str]]:
@@ -104,9 +108,7 @@ class CellSummary:
     theta_true: float
 
 
-def _replicate_results(
-    config: ExperimentConfig, rep: int, specs: list, thetas: np.ndarray
-) -> np.ndarray:
+def _replicate_results(config: ExperimentConfig, rep: int, thetas: np.ndarray) -> np.ndarray:
     """(covered, finite, width, n_eff) rows of one replicate, one column per cell.
 
     Every (x0, h) cell of both methods comes from one localization of the
@@ -115,7 +117,7 @@ def _replicate_results(
     """
     rng = RngStream(config.master_seed, rep)
     data = sample_dataset(config.model, config.n, rng)
-    loc = localize(data, specs)
+    loc = localize(data, config.specs)
     q = config.quantile_spec
     qr_rng = rng.substream(_TAG_QR)
     out = np.empty((4, len(config.cells)))
@@ -145,16 +147,13 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[CellSumma
     Deterministic for a fixed config: replicates use independent
     counter-based streams, so the worker count changes only the wall time.
     """
-    # one spec per (x0, h), in cell order, shared by the oracle and every replicate
-    specs = [LocalizationSpec(config.kernel, [x0], [h])
-             for x0 in config.x0_points for h in config.bandwidths]
-    thetas = np.array([true_theta(config.model, spec, config.p) for spec in specs])
+    thetas = np.array([true_theta(config.model, spec, config.p) for spec in config.specs])
     reps = range(1, config.n_sim + 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda r: _replicate_results(config, r, specs, thetas), reps))
+            rows = list(pool.map(lambda r: _replicate_results(config, r, thetas), reps))
     else:
-        rows = [_replicate_results(config, r, specs, thetas) for r in reps]
+        rows = [_replicate_results(config, r, thetas) for r in reps]
     # (quantity, cell, replicate): each cell's series is contiguous, so its
     # means add in the same order as over a 1-d array of the replicates
     stats = np.stack(rows, axis=2)

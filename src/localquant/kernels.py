@@ -141,27 +141,16 @@ class Localization:
     errors: tuple
 
 
-def _window_union(order: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Entries of `order` at positions covered by some [lo_k, hi_k)."""
-    spans: list[list[int]] = []
-    for a, b in sorted(zip(lo.tolist(), hi.tolist())):
-        if spans and a <= spans[-1][1]:
-            spans[-1][1] = max(spans[-1][1], b)
-        else:
-            spans.append([a, b])
-    return np.concatenate([order[a:b] for a, b in spans])
-
-
 def localize(data: Dataset, specs) -> Localization:
     """Kernel weights of every row of `data` for each spec (cell) in `specs`.
 
     The specs share one kernel. The kernel is evaluated only on the rows
-    whose first covariate lies in the support window of dimension 0 of some
-    cell, found by binary search in `data.first_column_index`; every other
-    row has a zero factor in each cell's product kernel. Within the union of
-    windows each cell is evaluated on every row, with the same elementwise
-    operations as a single cell, so a row outside a cell's own window gets
-    exactly 0 there too.
+    whose first covariate lies in one span, from the lowest lower end to the
+    highest upper end of the cells' dimension-0 support windows, found by two
+    binary searches in `data.first_column_index`; every other row has a zero
+    factor in each cell's product kernel. Within the span each cell is
+    evaluated on every row, with the same elementwise operations as a single
+    cell, so a row outside a cell's own window gets exactly 0 there too.
     """
     specs = list(specs)
     if not specs:
@@ -184,9 +173,9 @@ def localize(data: Dataset, specs) -> Localization:
     # |u| > support_radius in floating point too; the floor keeps the
     # margin a normal number when center and half-width are tiny
     margin = np.maximum(_WINDOW_MARGIN * (np.abs(center) + half), _TINY_NORMAL)
-    lo = np.searchsorted(column, center - half - margin, "right")
-    hi = np.searchsorted(column, center + half + margin, "right")
-    rows = _window_union(order, lo, hi)
+    lo = np.searchsorted(column, np.min(center - half - margin), "right")
+    hi = np.searchsorted(column, np.max(center + half + margin), "right")
+    rows = order[lo:hi]
     u = (centers[:, None, :] - data.covariates[rows]) / bandwidths[:, None, :]
     local = np.prod(kernel.evaluate(u), axis=2)
     local[local < _WEIGHT_FLOOR] = 0.0

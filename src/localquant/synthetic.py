@@ -321,8 +321,8 @@ def indistinguishable_pair(
     modified median together with the total-variation distance between the
     original and modified joint distributions.
 
-    Requires the triangular kernel with the full window inside [0, 1], and
-    0 < h0 < h.
+    Requires the triangular kernel with the full window inside [0, 1],
+    0 < h0 < h and a finite theta_star.
     """
     _require_univariate(spec)
     if spec.kernel is not Kernel.TRIANGULAR:
@@ -331,6 +331,8 @@ def indistinguishable_pair(
     h = float(spec.bandwidths[0])
     if not 0.0 < h0 < h:
         raise DomainError("need 0 < h0 < h")
+    if not math.isfinite(theta_star):
+        raise DomainError("theta_star must be finite")
     if x0 - h < 0.0 or x0 + h > 1.0:
         raise DomainError("kernel window must lie inside [0, 1]")
 

@@ -11,6 +11,7 @@ import pytest
 
 import localquant
 from localquant import (
+    BracketFailure,
     ConstantColumn,
     Dataset,
     Kernel,
@@ -24,7 +25,15 @@ from localquant import (
     qr_interval,
     wq_interval,
 )
+from localquant import cli
 from localquant.cli import load_csv, main, parse_endpoint
+
+
+SIM_CONFIG = (
+    "signal = step\nsetting = 1\nkernel = triangular\np = 0.5\n"
+    "alpha = 0.1\nalpha1 = 0.05\nn = 50\nn_sim = 8\nseed = 11\n"
+    "x0 = 0.5\nh = 0.2\nmethods = wq\n"
+)
 
 
 def write_csv(path, header, rows):
@@ -181,6 +190,43 @@ def test_bad_x0_grid_is_usage_error(capsys, grid):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv", [["--h", "0"], ["--p", "1.5"], ["--x0-grid", "0.1:0.9:0"], ["--x0-grid", "nan"]]
+)
+def test_bad_target_argument_writes_nothing(tmp_path, capsys, argv):
+    out_path = tmp_path / "t.csv"
+    for out in ([], ["--out", str(out_path)]):
+        with pytest.raises(SystemExit) as exc:
+            main(["target", *argv, *out])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+    assert not out_path.exists()
+
+
+def test_target_oracle_failure_writes_nothing(tmp_path, capsys, monkeypatch):
+    def fail(*args):
+        raise BracketFailure("no sign change")
+
+    monkeypatch.setattr(cli, "true_theta", fail)
+    out_path = tmp_path / "t.csv"
+    for out in ([], ["--out", str(out_path)]):
+        code, stdout, err = run_cli(capsys, ["target", *out])
+        assert (code, stdout) == (3, "")
+        assert "no sign change" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--h", "-1"], ["--p", "0"], ["--h0", "0.5"], ["--x0", "0.01"],
+    ["--theta-star", "inf"], ["--theta-star", "nan"],
+])
+def test_bad_indist_argument_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["indist", *argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_workers_below_one_is_usage_error(capsys, workers):
     with pytest.raises(SystemExit) as exc:
@@ -195,6 +241,21 @@ def test_bad_config_is_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--config", str(cfg)])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("bad", ["h = -0.1", "h = nan", "x0 = nan", "methods ="])
+def test_bad_config_value_is_usage_error(tmp_path, capsys, bad):
+    # the config builds its localization specs when it is parsed, before any work
+    key = bad.split("=")[0]
+    cfg = tmp_path / "c.txt"
+    cfg.write_text("".join(line for line in SIM_CONFIG.splitlines(keepends=True)
+                           if not line.startswith(key)) + bad + "\n")
+    out_path = tmp_path / "res.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(cfg), "--out", str(out_path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert not out_path.exists()
 
 
 # --- ci output --------------------------------------------------------------
@@ -318,11 +379,7 @@ def test_ci_mismatched_x0_length(sample_csv, capsys):
 
 def test_simulate_config_file(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text(
-        "signal = step\nsetting = 1\nkernel = triangular\np = 0.5\n"
-        "alpha = 0.1\nalpha1 = 0.05\nn = 50\nn_sim = 8\nseed = 11\n"
-        "x0 = 0.5\nh = 0.2\nmethods = wq\n"
-    )
+    cfg.write_text(SIM_CONFIG)
     out_path = tmp_path / "res.csv"
     code, _, _ = run_cli(capsys, ["simulate", "--config", str(cfg), "--out", str(out_path)])
     assert code == 0

@@ -1,4 +1,6 @@
+import dataclasses
 import io
+import math
 import warnings
 
 import pytest
@@ -8,6 +10,7 @@ from localquant import (
     Kernel,
     NoiseSetting,
     PRESETS,
+    QuantileSpec,
     Signal,
     SyntheticModel,
     full_grid_configs,
@@ -16,6 +19,7 @@ from localquant import (
     summaries_csv,
     write_summaries,
 )
+from localquant import experiments
 
 TINY = ExperimentConfig(
     model=SyntheticModel(Signal.STEP, NoiseSetting.S1),
@@ -142,6 +146,37 @@ def test_config_validation():
             p=0.5, alpha=0.1, alpha1=0.05, n=10, n_sim=1, master_seed=0,
             methods=("WQ", "DFQ"),
         )
+
+
+@pytest.mark.parametrize("change", [
+    {"methods": ()}, {"bandwidths": (-0.1,)}, {"bandwidths": (math.nan,)},
+    {"x0_points": (math.nan,)},
+])
+def test_config_rejects_bad_values_at_construction(change):
+    with pytest.raises(ValueError):
+        dataclasses.replace(TINY, **change)
+
+
+def test_config_builds_its_specs_once():
+    cfg = parse_config(CONFIG_TEXT)
+    preset = PRESETS["paper-spikes-s1"]
+    # the stored specs take no part in equality or hashing
+    assert cfg == preset and hash(cfg) == hash(preset)
+    assert cfg.specs is not preset.specs
+    assert [(s.center[0], s.bandwidths[0]) for s in cfg.specs] == [
+        (x0, h) for x0 in cfg.x0_points for h in cfg.bandwidths]
+    assert cfg.quantile_spec == QuantileSpec(0.5, 0.1, 0.05)
+
+
+def test_run_reads_the_config_specs(monkeypatch):
+    expected = run_experiment(TINY)
+
+    def forbidden(*args):
+        raise AssertionError("a run builds no specs")
+
+    monkeypatch.setattr(experiments, "LocalizationSpec", forbidden)
+    monkeypatch.setattr(experiments, "QuantileSpec", forbidden)
+    assert run_experiment(TINY) == expected
 
 
 def test_presets_and_full_grid():

@@ -26,6 +26,7 @@ from localquant import (
     RngStream,
     df_quantile_ci,
     localization_weights,
+    localize,
     qr_interval,
     weighted_cdf,
     weighted_quantile,
@@ -33,6 +34,7 @@ from localquant import (
 )
 from localquant.cli import load_csv
 from localquant.kernels import _WEIGHT_FLOOR
+from test_engine import check_cells
 
 # -- full-n references ------------------------------------------------------
 
@@ -199,7 +201,14 @@ def test_window_edges(kernel, center, h):
     y = np.arange(len(x), dtype=float) % 3
     data = Dataset(np.array(x)[:, None], y)
     spec = LocalizationSpec(kernel, [center], [h])
-    check_against_reference(data, spec, QuantileSpec(0.5, 0.1, 0.05), 11)
+    q = QuantileSpec(0.5, 0.1, 0.05)
+    check_against_reference(data, spec, q, 11)
+    # with a second cell 100 h away, one localization evaluates both cells
+    # on every row between their windows; each must get exactly 0 outside
+    # its own window
+    specs = [spec, LocalizationSpec(kernel, [center + 100 * h], [h])]
+    assert np.array_equal(localize(data, specs).weights, [ref_weights(data, s) for s in specs])
+    check_cells(data, specs, q, 11)
 
 
 def test_single_support_row():
