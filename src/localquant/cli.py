@@ -17,7 +17,10 @@ import argparse
 import csv
 import json
 import math
+import mmap
+import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -54,6 +57,10 @@ _EXIT_NO_WEIGHT = 4
 def load_csv(path: str, x_columns: list[str], y_column: str, normalize: bool = False) -> Dataset:
     """Load named numeric columns from an RFC-4180 CSV file with a header row.
 
+    A plain numeric file is parsed by numpy's C parser; any file that parser
+    refuses or may read differently is parsed row by row with `float()`,
+    which gives the same arrays and reports the row and column of a bad cell.
+
     With normalize=True each covariate column is standardized to mean 0 and
     sd 1 (population sd); the per-column (mean, sd) pairs are stored on the
     returned dataset so centers and bandwidths can be given in normalized
@@ -71,23 +78,33 @@ def load_csv(path: str, x_columns: list[str], y_column: str, normalize: bool = F
                 raise MissingColumn(f"column {name!r} not found; header has {header}")
         wanted = [header.index(name) for name in [*x_columns, y_column]]
 
-        table = []
-        for rownum, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"expected {len(header)} fields, found {len(row)}", row=rownum
-                )
-            try:
-                table.append([float(row[c]) for c in wanted])
-            except ValueError:
-                bad = next(c for c in wanted if not _is_float(row[c]))
-                raise ParseError(
-                    f"could not parse {row[bad]!r} as a number", row=rownum, column=header[bad]
-                ) from None
+        table = _c_parsed(fh, len(header))
+        if table is not None:
+            table = table[:, wanted]
+        else:
+            if fh.seekable():
+                # the C parser may have read on: start again after the header
+                fh.seek(0)
+                reader = csv.reader(fh)
+                next(reader)
+            table = []
+            for rownum, row in enumerate(reader, start=2):
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if len(row) != len(header):
+                    raise ParseError(
+                        f"expected {len(header)} fields, found {len(row)}", row=rownum
+                    )
+                try:
+                    table.append([float(row[c]) for c in wanted])
+                except ValueError:
+                    bad = next(c for c in wanted if not _is_float(row[c]))
+                    raise ParseError(
+                        f"could not parse {row[bad]!r} as a number", row=rownum,
+                        column=header[bad],
+                    ) from None
 
-    if not table:
+    if len(table) == 0:
         raise ParseError("file contains no data rows")
     table = np.asarray(table, dtype=float)
     if not np.all(np.isfinite(table)):
@@ -111,6 +128,29 @@ def load_csv(path: str, x_columns: list[str], y_column: str, normalize: bool = F
         y_name=y_column,
         normalization=normalization,
     )
+
+
+def _c_parsed(fh, width: int) -> np.ndarray | None:
+    """Every row left in `fh`, all columns, by numpy's C parser; or None.
+
+    None leaves the file to the row parser: it is not a regular file, it
+    holds a byte 0x1c-0x1f (which np.loadtxt strips around a number and
+    float() rejects), or the C parser fails, warns (as on no data), finds no
+    rows or finds a width other than the header's. Blank rows, ragged rows,
+    text cells and forms only float() reads, such as `1_0`, all end here.
+    """
+    try:
+        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as view:
+            if any(view.find(sep) >= 0 for sep in (b"\x1c", b"\x1d", b"\x1e", b"\x1f")):
+                return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                fh, delimiter=",", quotechar='"', ndmin=2, comments=None, dtype=float
+            )
+    except (OSError, ValueError, Warning):
+        return None
+    return table if table.shape[0] > 0 and table.shape[1] == width else None
 
 
 def _is_float(token: str) -> bool:
@@ -288,6 +328,20 @@ def _cmd_ci(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
+def _check_out(path, parser: argparse.ArgumentParser) -> None:
+    """Exit 2 before any work if `--out` cannot be created as a file.
+
+    The file itself is opened only after the work, so a failed run leaves none.
+    """
+    if not path:
+        return
+    if os.path.isdir(path):
+        parser.error(f"--out: {path!r} is a directory")
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent) or not os.access(parent, os.W_OK | os.X_OK):
+        parser.error(f"--out: {parent!r} is not a writable directory")
+
+
 def _open_out(path):
     return open(path, "w", newline="") if path else sys.stdout
 
@@ -295,6 +349,7 @@ def _open_out(path):
 def _cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
     if args.workers < 1:
         parser.error("--workers must be at least 1")
+    _check_out(args.out, parser)
     if args.preset:
         config = PRESETS[args.preset]
     else:
@@ -321,6 +376,7 @@ def _x0_grid(text: str) -> list[float]:
 
 
 def _cmd_target(args, parser: argparse.ArgumentParser) -> int:
+    _check_out(args.out, parser)
     signal, setting, kernel, h, p = args.signal, args.setting, args.kernel, args.h, args.p
     grid_text = args.x0_grid
     if args.preset == "flat-sanity":

@@ -106,7 +106,9 @@ class LocalizationSpec:
             raise ValueError("at least one dimension is required")
         if not np.all(np.isfinite(center)):
             raise ValueError("center must be finite")
-        if not np.all(np.isfinite(bw)) or np.any(bw <= 0.0):
+        if not np.all(np.isfinite(bw)):
+            raise ValueError("bandwidths must be finite")
+        if np.any(bw <= 0.0):
             raise ValueError("bandwidths must be strictly positive")
         center.flags.writeable = False
         bw.flags.writeable = False

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import bisect
 from scipy.special import ndtr, roots_legendre
 
 from .base import Dataset
@@ -31,6 +30,9 @@ from .kernels import Kernel, LocalizationSpec
 from .rng import RngStream
 
 _ROOT_TOL = 1e-10
+_ROOT_MAXITER = 200
+# relative tolerance of the bisection stopping rule, scipy's bisect default
+_ROOT_RTOL = 4.0 * float(np.finfo(float).eps)
 
 # composite Gauss-Legendre rule of the oracle: 20 nodes per panel, panels no
 # wider than 0.0025, about half the narrowest feature of the six signals (the
@@ -209,6 +211,10 @@ def _window(spec: LocalizationSpec) -> tuple[float, float]:
     """Kernel support intersected with [0, 1]."""
     x0 = float(spec.center[0])
     radius = spec.kernel.support_radius * float(spec.bandwidths[0])
+    if x0 - radius == x0 + radius:
+        raise DomainError(
+            f"the kernel window at x0 = {x0!r} collapses to a point: x0 ± {radius!r} rounds to x0"
+        )
     lo, hi = max(x0 - radius, 0.0), min(x0 + radius, 1.0)
     if lo >= hi:
         raise DomainError("kernel support does not intersect [0, 1]")
@@ -284,6 +290,26 @@ def _bracket(model: SyntheticModel) -> tuple[float, float]:
     return fmin - pad, fmax + pad
 
 
+def _bisect(g, lo: float, hi: float, g_lo: float) -> float:
+    """Root of g on [lo, hi] by bisection, given g_lo = g(lo) of sign opposite to g(hi).
+
+    The loop of scipy's `bisect`, step for step, so roots agree bit for
+    bit: halve the step, keep the midpoint as the left end while its sign
+    matches g_lo, stop at an exact zero or when the step is below
+    _ROOT_TOL + _ROOT_RTOL * |midpoint|, and return that midpoint.
+    """
+    step = hi - lo
+    for _ in range(_ROOT_MAXITER):
+        step *= 0.5
+        mid = lo + step
+        g_mid = g(mid)
+        if g_mid * g_lo >= 0.0:
+            lo = mid
+        if g_mid == 0.0 or abs(step) < _ROOT_TOL + _ROOT_RTOL * abs(mid):
+            return mid
+    raise BracketFailure(f"bisection did not converge in {_ROOT_MAXITER} steps")
+
+
 def true_theta(model: SyntheticModel, spec: LocalizationSpec, p: float) -> float:
     """Oracle localized p-th quantile, by bisection on the oracle CDF."""
     if not 0.0 < p < 1.0:
@@ -296,7 +322,7 @@ def true_theta(model: SyntheticModel, spec: LocalizationSpec, p: float) -> float
         raise BracketFailure(
             f"no sign change on [{lo:.3g}, {hi:.3g}]: g(lo)={g_lo:.3g}, g(hi)={g_hi:.3g}"
         )
-    return float(bisect(g, lo, hi, xtol=_ROOT_TOL, maxiter=200))
+    return _bisect(g, lo, hi, g_lo)
 
 
 def mixture_weight(h: float, h0: float) -> float:
@@ -364,9 +390,10 @@ def indistinguishable_pair(
         else:
             g = lambda y: (1.0 - w) * f2(y) - 0.5
             hi = theta_star
-        if g(lo) >= 0.0 or g(hi) <= 0.0:
+        g_lo = g(lo)
+        if g_lo >= 0.0 or g(hi) <= 0.0:
             raise BracketFailure("modified CDF does not cross 1/2 on the search interval")
-        theta_prime = float(bisect(g, lo, hi, xtol=_ROOT_TOL, maxiter=200))
+        theta_prime = _bisect(g, lo, hi, g_lo)
 
     # TV distance: mass moved, integrated without kernel reweighting
     return theta_prime, _panel_sum(cdf_core(theta_star), w_core)

@@ -20,6 +20,11 @@ QUAD_TOL = 1e-9
 ROOT_TOL = 1e-10
 
 
+def scipy_bisect(g, lo: float, hi: float, g_lo: float) -> float:
+    """scipy's `bisect` in the signature of the oracle's root finder, `synthetic._bisect`."""
+    return float(bisect(g, lo, hi, xtol=ROOT_TOL, maxiter=200))
+
+
 def integrate(func, lo: float, hi: float, breakpoints) -> float:
     pts = sorted({p for p in breakpoints if lo < p < hi})
     # full_output suppresses the IntegrationWarning; the error estimate is

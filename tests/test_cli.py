@@ -5,9 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import localquant
 from localquant import (
@@ -123,6 +127,105 @@ def test_non_finite_rejected(tmp_path):
         load_csv(str(path), ["x"], "y")
 
 
+def test_load_csv_reads_a_pipe(tmp_path):
+    # a pipe cannot be mapped or rewound: the row parser reads it as a stream
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=("x,y\n0.1,1\n0.2,2\n",))
+    writer.start()
+    data = load_csv(str(fifo), ["x"], "y")
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert np.array_equal(data.covariates[:, 0], [0.1, 0.2])
+    assert np.array_equal(data.responses, [1.0, 2.0])
+
+
+# cells the C parser and float() may read differently, or not at all
+ODD_CELLS = [
+    '"{}"', '"{}"5', '""{}', " {} ", "\u00a0{}", "{}\t", "1_0", "nan", "inf", "-Infinity",
+    "abc", "", "  ", "\x1c{}", "{}\x1d", "\x1e{}", "{}\x1f", '"{}\n"', "{}\x00",
+]
+# rows the row parser skips or rejects
+ODD_ROWS = ["", "{blank}", "  ", "\t", "{short}", "{long}"]
+
+
+@st.composite
+def csv_files(draw):
+    """(file text, x columns, y column, whether it is plain numeric with data rows)."""
+    d = draw(st.integers(0, 3))
+    extra = draw(st.integers(0, 2))
+    names = [f"x{j}" for j in range(d)] + ["y"] + [f"u{j}" for j in range(extra)]
+    names = draw(st.permutations(names))
+    width = len(names)
+    number = st.one_of(
+        st.integers(-999, 999).map(str),
+        st.floats(allow_nan=False, allow_infinity=False, width=64).map(repr),
+    )
+    rows = draw(st.lists(st.lists(number, min_size=width, max_size=width), max_size=6))
+    odd = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, width), st.sampled_from(
+        [("cell", c) for c in ODD_CELLS] + [("row", r) for r in ODD_ROWS]
+        + [("wider", None), ("text column", None)]
+    )), max_size=2))
+    for i, j, (kind, form) in odd:
+        if kind == "cell" and rows:
+            row = rows[i % len(rows)]
+            row[j % len(row)] = form.format(row[j % len(row)])
+        elif kind == "row":
+            line = form.format(blank="," * (width - 1), short=",".join(["1"] * (width - 1)),
+                               long=",".join(["1"] * (width + 1)))
+            rows.insert(i % (len(rows) + 1), [line])
+        elif kind == "wider":
+            rows = [row + ["1"] for row in rows]
+        else:
+            names = names + ["name"]
+            rows = [row + ["abc"] for row in rows]
+    ends = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [",".join(names)] + [",".join(row) for row in rows]
+    text = ends.join(lines) + draw(st.sampled_from(["", ends]))
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    x_cols = sorted(n for n in names if n.startswith("x"))
+    return text, x_cols, "y", bool(rows) and not odd
+
+
+def _load_or_error(path, x_cols, y_col, normalize):
+    try:
+        data = load_csv(path, x_cols, y_col, normalize=normalize)
+    except Exception as exc:
+        return type(exc), str(exc)
+    norm = None if data.normalization is None else [a.tobytes() for a in data.normalization]
+    return data.covariates.shape, data.covariates.tobytes(), data.responses.tobytes(), norm
+
+
+@settings(
+    max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(case=csv_files(), normalize=st.booleans())
+def test_c_parser_matches_row_parser(tmp_path, monkeypatch, case, normalize):
+    text, x_cols, y_col, plain = case
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    c_parsed = cli._c_parsed
+    took_c_path = []
+
+    def spy(fh, width):
+        table = c_parsed(fh, width)
+        took_c_path.append(table is not None)
+        return table
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_c_parsed", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fast = _load_or_error(str(path), x_cols, y_col, normalize)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_c_parsed", lambda fh, width: None)
+        rows = _load_or_error(str(path), x_cols, y_col, normalize)
+    assert fast == rows
+    if plain:
+        assert took_c_path == [True]
+
+
 # --- exit codes -------------------------------------------------------------
 
 def test_qr_without_seed_is_usage_error(sample_csv, capsys):
@@ -190,17 +293,50 @@ def test_bad_x0_grid_is_usage_error(capsys, grid):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize(
-    "argv", [["--h", "0"], ["--p", "1.5"], ["--x0-grid", "0.1:0.9:0"], ["--x0-grid", "nan"]]
-)
+# the error message of each bad `target` argument, by its value
+TARGET_ERRORS = {
+    "0": "bandwidths must be strictly positive",
+    "1.5": "p must lie in (0, 1)",
+    "0.1:0.9:0": "the grid is empty",
+    "nan": "center must be finite",
+    "1e-300": "the kernel window at x0 = 0.1 collapses to a point",
+    "inf": "bandwidths must be finite",
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--h", "0"], ["--p", "1.5"], ["--x0-grid", "0.1:0.9:0"], ["--x0-grid", "nan"],
+    ["--h", "1e-300"], ["--h", "inf"],
+])
 def test_bad_target_argument_writes_nothing(tmp_path, capsys, argv):
     out_path = tmp_path / "t.csv"
     for out in ([], ["--out", str(out_path)]):
         with pytest.raises(SystemExit) as exc:
             main(["target", *argv, *out])
         assert exc.value.code == 2
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert TARGET_ERRORS[argv[-1]] in captured.err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", [["simulate", "--preset", "quick-spikes-s1"], ["target"]])
+def test_bad_out_is_usage_error_before_work(tmp_path, capsys, monkeypatch, command):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the work ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_experiment", must_not_run)
+    monkeypatch.setattr(cli, "true_theta", must_not_run)
+    a_file = tmp_path / "file"
+    a_file.write_text("")
+    for out in (tmp_path / "missing" / "x.csv", a_file / "x.csv", tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--out", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--out" in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
 
 def test_target_oracle_failure_writes_nothing(tmp_path, capsys, monkeypatch):
@@ -408,15 +544,25 @@ def test_indist_default(capsys):
     assert rec["mixture_weight"] == pytest.approx(0.51, rel=1e-12)
 
 
+def _run_python(*args):
+    src = os.path.dirname(os.path.dirname(localquant.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
 def test_module_run_is_warning_free():
     # importing the package must not import localquant.cli, or runpy warns
     # that the module it is about to run is already loaded
-    src = os.path.dirname(os.path.dirname(localquant.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "localquant.cli", "target",
-         "--preset", "flat-sanity"],
-        env=env, capture_output=True, text=True, timeout=120,
+    proc = _run_python(
+        "-W", "error::RuntimeWarning", "-m", "localquant.cli", "target", "--preset", "flat-sanity"
     )
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # every CLI call pays for its imports; the oracle's bisection is in-repo
+    proc = _run_python("-c", "import sys, localquant.cli; print('scipy.optimize' in sys.modules)")
+    assert (proc.returncode, proc.stdout) == (0, "False\n")

@@ -21,6 +21,7 @@ from localquant import (
     true_q_cdf,
     true_theta,
 )
+from localquant import synthetic
 
 # the study point of each signal whose window holds its sharpest feature: a
 # jump (step, blip), the tallest spike, the narrowest bump pair, the largest
@@ -71,3 +72,30 @@ def test_indistinguishable_pair_matches_quad_reference(theta_star):
     ref_theta_prime, ref_tv = ref.indistinguishable_pair(model, spec, 0.012, theta_star)
     assert theta_prime == pytest.approx(ref_theta_prime, abs=1e-9)
     assert tv == pytest.approx(ref_tv, abs=1e-9)
+
+
+def test_bisection_matches_scipy_bit_for_bit(monkeypatch):
+    # theta of every signal x setting x kernel at its hardest point and at a
+    # window cut by 0, at three levels; theta' of every signal x setting with
+    # theta_star below theta and far above it (with h0 = 0.004 the modified
+    # median then stays below theta_star), so both bisections of
+    # indistinguishable_pair run
+    def roots():
+        thetas = [
+            true_theta(SyntheticModel(signal, noise), LocalizationSpec(kernel, [x0], [0.04]), p)
+            for signal, noise, kernel in itertools.product(Signal, NoiseSetting, Kernel)
+            for x0 in (HARDEST_X0[signal], 0.01)
+            for p in (0.1, 0.5, 0.9)
+        ]
+        spec = LocalizationSpec(Kernel.TRIANGULAR, [0.47], [0.04])
+        primes = [
+            indistinguishable_pair(model, spec, 0.004, theta + shift)[0]
+            for model in (SyntheticModel(s, n) for s, n in itertools.product(Signal, NoiseSetting))
+            for theta in [true_theta(model, spec, 0.5)]
+            for shift in (-1.0, 3.0)
+        ]
+        return [v.hex() for v in thetas + primes]
+
+    ours = roots()
+    monkeypatch.setattr(synthetic, "_bisect", ref.scipy_bisect)
+    assert roots() == ours
