@@ -10,16 +10,25 @@ import numpy as np
 
 
 def _frozen_float_array(values, ndim: int, name: str) -> np.ndarray:
+    """A read-only float copy of `values` with one sign of zero: the one conversion of
+    every input array a public object keeps. Raises ValueError unless the copy has
+    `ndim` dimensions and finite entries."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must contain only finite values")
+        raise ValueError(f"{name} must be finite")
     # adding 0.0 turns -0.0 into +0.0 and keeps every other value, so equal
     # values are equal bits and every sort gives the same order statistics
-    arr = arr + 0.0
-    arr.flags.writeable = False
-    return arr
+    return _read_only(arr + 0.0)[0]
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Mark `arrays` read-only and return them: every array a public object
+    keeps or caches is frozen here, so no caller can change it."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,6 +52,9 @@ class Dataset:
             cov = cov[:, None]
         object.__setattr__(self, "covariates", _frozen_float_array(cov, 2, "covariates"))
         object.__setattr__(self, "responses", _frozen_float_array(self.responses, 1, "responses"))
+        if self.normalization is not None:
+            object.__setattr__(self, "normalization", tuple(
+                _frozen_float_array(a, 1, "normalization") for a in self.normalization))
         if self.covariates.shape[0] != self.responses.shape[0]:
             raise ValueError("covariates and responses must have the same number of rows")
         if self.responses.shape[0] < 1:
@@ -69,10 +81,7 @@ class Dataset:
         every row.
         """
         order = np.argsort(self.covariates[:, 0], kind="stable")
-        values = self.covariates[order, 0]
-        order.flags.writeable = False
-        values.flags.writeable = False
-        return order, values
+        return _read_only(order, self.covariates[order, 0])
 
 
 @dataclass(frozen=True)

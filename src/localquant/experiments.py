@@ -120,17 +120,20 @@ def _replicate_results(config: ExperimentConfig, rep: int, thetas: np.ndarray) -
     loc = localize(data, config.specs)
     q = config.quantile_spec
     qr_rng = rng.substream(_TAG_QR)
-    out = np.empty((4, len(config.cells)))
+    m = len(config.methods)
+    out = np.empty((4, len(config.specs) * m))
     failures = []
     for j, method in enumerate(config.methods):
-        cells = range(j, len(config.cells), len(config.methods))
         if method == "WQ":
             batch = wq_cells(loc, q)
         else:
-            batch = qr_cells(loc, q, [qr_rng.substream(c) for c in cells])
-        failures += [(c, e) for c, e in zip(cells, batch.errors)
+            # cell k draws from stream 2k + 1, its QR column in a (WQ, QR) study,
+            # whatever the method list: its draws depend on (seed, replicate, x0, h) only
+            streams = [qr_rng.substream(2 * k + 1) for k in range(len(config.specs))]
+            batch = qr_cells(loc, q, streams)
+        failures += [(k * m + j, e) for k, e in enumerate(batch.errors)
                      if e is not None and not isinstance(e, AllWeightsZero)]
-        out[:, j::len(config.methods)] = (
+        out[:, j::m] = (
             (batch.lower <= thetas) & (thetas <= batch.upper),
             np.isfinite(batch.lower) & np.isfinite(batch.upper),
             batch.upper - batch.lower,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .base import Dataset
+from .base import Dataset, _frozen_float_array, _read_only
 from .errors import DimensionMismatch
 from .weighted import WeightedSample, weight_stats
 
@@ -96,22 +96,14 @@ class LocalizationSpec:
     bandwidths: np.ndarray
 
     def __post_init__(self):
-        center = np.atleast_1d(np.asarray(self.center, dtype=float)).copy()
-        bw = np.atleast_1d(np.asarray(self.bandwidths, dtype=float)).copy()
-        if center.ndim != 1 or bw.ndim != 1:
-            raise ValueError("center and bandwidths must be 1-d")
+        center = _frozen_float_array(np.atleast_1d(self.center), 1, "center")
+        bw = _frozen_float_array(np.atleast_1d(self.bandwidths), 1, "bandwidths")
         if center.shape != bw.shape:
             raise ValueError("center and bandwidths must have equal length")
         if center.size < 1:
             raise ValueError("at least one dimension is required")
-        if not np.all(np.isfinite(center)):
-            raise ValueError("center must be finite")
-        if not np.all(np.isfinite(bw)):
-            raise ValueError("bandwidths must be finite")
         if np.any(bw <= 0.0):
             raise ValueError("bandwidths must be strictly positive")
-        center.flags.writeable = False
-        bw.flags.writeable = False
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "bandwidths", bw)
 
@@ -132,6 +124,7 @@ class Localization:
     `weights` has shape (C, n) in row order, zero outside each cell's support;
     `rows` lists, ascending, every row with positive weight in some cell.
     `weight_sum`, `n_eff` and `errors` are `weighted.weight_stats(weights)`.
+    Every array is read-only.
     """
 
     data: Dataset
@@ -184,7 +177,9 @@ def localize(data: Dataset, specs) -> Localization:
     weights = np.zeros((len(specs), data.n))
     weights[:, rows] = local
     support = np.flatnonzero(weights.any(axis=0))
-    return Localization(data, specs[0].kernel_max, weights, support, *weight_stats(weights))
+    return Localization(
+        data, specs[0].kernel_max, *_read_only(weights, support), *weight_stats(weights)
+    )
 
 
 def localization_weights(data: Dataset, spec: LocalizationSpec) -> WeightedSample:

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln
 
-from .base import IntervalResult
+from .base import IntervalResult, _read_only
 from .errors import DomainError
 from .weighted import sorted_lookup
 
@@ -43,11 +43,7 @@ class TieIndices:
         run_id = np.cumsum(starts) - 1
         first = np.flatnonzero(starts) + 1
         last = np.append(first[1:] - 1, n)
-        i_min = first[run_id]
-        i_max = last[run_id]
-        i_min.flags.writeable = False
-        i_max.flags.writeable = False
-        return cls(i_min=i_min, i_max=i_max)
+        return cls(*_read_only(first[run_id], last[run_id]))
 
 
 def _binom_tables(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:

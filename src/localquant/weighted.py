@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .base import _frozen_float_array, _read_only
 from .errors import AllWeightsZero, DomainError
 
 
@@ -29,20 +30,14 @@ class WeightedSample:
     weights: np.ndarray
 
     def __post_init__(self):
-        resp = np.asarray(self.responses, dtype=float).copy()
-        w = np.asarray(self.weights, dtype=float).copy()
-        if resp.ndim != 1 or w.ndim != 1:
-            raise ValueError("responses and weights must be 1-d")
+        resp = _frozen_float_array(self.responses, 1, "responses")
+        w = _frozen_float_array(self.weights, 1, "weights")
         if resp.shape != w.shape:
             raise ValueError("responses and weights must have equal length")
         if resp.size < 1:
             raise ValueError("a weighted sample needs at least one row")
-        if not np.all(np.isfinite(resp)):
-            raise ValueError("responses must be finite")
-        if not np.all(np.isfinite(w)) or np.any(w < 0.0):
-            raise ValueError("weights must be finite and nonnegative")
-        resp.flags.writeable = False
-        w.flags.writeable = False
+        if np.any(w < 0.0):
+            raise ValueError("weights must be nonnegative")
         object.__setattr__(self, "weight_sum", float(np.sum(w)))
         object.__setattr__(self, "responses", resp)
         object.__setattr__(self, "weights", w)
@@ -70,7 +65,7 @@ class WeightedSample:
         resp, cum = sorted_cumulative(
             self.responses, self.weights[None, :], np.flatnonzero(self.weights)
         )
-        return resp, cum[0]
+        return _read_only(resp, cum[0])
 
 
 def sorted_cumulative(responses: np.ndarray, weights: np.ndarray, rows: np.ndarray):
@@ -115,8 +110,8 @@ def weighted_quantile(ws: WeightedSample, p: float) -> float:
 
 
 def weight_stats(weights: np.ndarray):
-    """Per row of the (C, n) `weights`: its sum, its read-only effective sample size
-    (0.0 if the row fails) and the AllWeightsZero or DomainError it raises, or None."""
+    """Per row of the (C, n) `weights`: its sum, its effective sample size (0.0 if
+    the row fails), both read-only, and the AllWeightsZero or DomainError it raises, or None."""
     sums = weights.sum(axis=1)
     errors, n_eff = [], np.zeros(sums.shape[0])
     # total**2 on a Python float, not numpy's x*x (see wq._sigma_rows)
@@ -128,8 +123,7 @@ def weight_stats(weights: np.ndarray):
         else:
             errors.append(None)
             n_eff[k] = total**2 / sum_sq
-    n_eff.flags.writeable = False
-    return sums, n_eff, tuple(errors)
+    return (*_read_only(sums, n_eff), tuple(errors))
 
 
 def effective_sample_size(ws: WeightedSample) -> float:

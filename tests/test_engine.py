@@ -154,8 +154,9 @@ def test_localization_weight_stats_match_reference(case):
     streams = [RngStream(seed).substream(k) for k in range(len(specs))]
     for batch in (wq_cells(loc, q), qr_cells(loc, q, streams)):
         assert np.array_equal(batch.n_eff, loc.n_eff)
-    with pytest.raises(ValueError):
-        loc.n_eff[0] = 1.0
+    for stored in (loc.weights, loc.rows, loc.weight_sum, loc.n_eff):
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0] = 1
 
 
 def count_weight_stats(monkeypatch):

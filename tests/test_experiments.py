@@ -179,6 +179,18 @@ def test_run_reads_the_config_specs(monkeypatch):
     assert run_experiment(TINY) == expected
 
 
+def test_qr_draws_do_not_depend_on_the_method_list():
+    base = PRESETS["quick-spikes-s1"]
+    qr_rows = [
+        [repr(cell) for cell in run_experiment(dataclasses.replace(base, methods=methods))
+         if cell.method == "QR"]
+        for methods in (("WQ", "QR"), ("QR",), ("QR", "WQ"))
+    ]
+    assert len(qr_rows[0]) == 20
+    assert qr_rows[1] == qr_rows[0]
+    assert qr_rows[2] == qr_rows[0]
+
+
 def test_presets_and_full_grid():
     assert "paper-spikes-s1" in PRESETS
     preset = PRESETS["paper-spikes-s1"]

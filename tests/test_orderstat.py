@@ -71,6 +71,9 @@ def test_tie_indices():
     t = TieIndices.from_sorted(np.array([1.0, 1.0, 2.0, 3.0, 3.0, 3.0]))
     assert t.i_min.tolist() == [1, 1, 3, 4, 4, 4]
     assert t.i_max.tolist() == [2, 2, 3, 6, 6, 6]
+    for indices in (t.i_min, t.i_max):
+        with pytest.raises(ValueError, match="read-only"):
+            indices[0] = 0
     with pytest.raises(ValueError):
         TieIndices.from_sorted(np.array([2.0, 1.0]))
 

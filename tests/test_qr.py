@@ -1,6 +1,9 @@
 import math
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from localquant import (
@@ -9,6 +12,7 @@ from localquant import (
     LocalizationSpec,
     QuantileSpec,
     RngStream,
+    WeightedSample,
     df_quantile_ci,
     localization_weights,
     qr_interval,
@@ -154,6 +158,44 @@ def test_dataset_stores_unsigned_zero():
     data = Dataset([[-0.0, 1.0], [0.5, -0.0]], [-0.0, 2.0])
     assert not np.signbit(data.covariates).any()
     assert not np.signbit(data.responses).any()
+
+
+VALUES = st.sampled_from([0.0, -0.0, 0.5, -1.5, math.nan, math.inf, -math.inf])
+
+
+def stored_arrays(make, inputs):
+    """Every array the object `make()` keeps; none when an input is not finite
+    and `make()` raises the finiteness error."""
+    if not all(np.isfinite(a).all() for a in inputs):
+        with pytest.raises(ValueError, match="must be finite"):
+            make()
+        return []
+    obj = make()
+    if isinstance(obj, Dataset):
+        return [obj.covariates, obj.responses, *obj.normalization, *obj.first_column_index]
+    if isinstance(obj, WeightedSample):
+        return [obj.responses, obj.weights, *(obj.sorted_cdf if obj.weight_sum > 0.0 else ())]
+    return [obj.center, obj.bandwidths]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_stored_arrays_are_read_only_with_one_sign_of_zero(n, data):
+    x, y, mean, sd, v, c, b = (
+        np.array(data.draw(st.lists(VALUES, min_size=n, max_size=n))) for _ in range(7)
+    )
+    w = np.where(v < 0.0, -v, v)  # nonnegative, -0.0 and NaN kept
+    bw = np.where(b == 0.0, 1.0, np.abs(b))  # positive or not finite
+    for make, inputs in (
+        (lambda: Dataset(x[:, None], y, normalization=(mean, sd)), (x, y, mean, sd)),
+        (lambda: WeightedSample(y, w), (y, w)),
+        (lambda: LocalizationSpec(Kernel.TRIANGULAR, c, bw), (c, bw)),
+    ):
+        for arr in stored_arrays(make, inputs):
+            assert not arr.flags.writeable
+            assert not np.signbit(arr[arr == 0]).any()
+        for arr in inputs:  # the caller's arrays are copied, not frozen
+            assert arr.flags.writeable
 
 
 def endpoints(res):

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -162,6 +163,23 @@ def test_zero_weight_rows_retained():
     assert len(ws) == 3
     assert weighted_quantile(ws, 1.0) == 3.0  # zero-weight max is never picked
     assert weighted_cdf(ws, 5.0) == 1.0
+    for stored in ws.sorted_cdf:
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0] = 1.0
+
+
+def test_signed_zeros_do_not_depend_on_row_order():
+    # -0.0 == 0.0 ties in a stable sort, so a stored -0.0 would make the
+    # quantile's sign follow the row order
+    ys = [-0.0, 0.0, 1.0, -0.0, -1.0]
+    ws = [1.0, 2.0, 0.5, 0.25, 1.0]
+    seen = set()
+    for perm in itertools.permutations(range(len(ys))):
+        sample = WeightedSample([ys[i] for i in perm], [ws[i] for i in perm])
+        seen.add(tuple(repr(weighted_quantile(sample, p)) for p in (0.2, 0.3, 0.5, 0.8))
+                 + tuple(repr(weighted_cdf(sample, y)) for y in (-0.0, 0.0, 0.5)))
+    below = repr(4.25 / 4.75)  # every partial sum of these weights is exact
+    assert seen == {("-1.0", "0.0", "0.0", "0.0", below, below, below)}
 
 
 def test_weight_and_level_validation():
