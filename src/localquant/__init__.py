@@ -8,7 +8,7 @@ Two interval constructions are provided: the Weighted Quantile method
 oracle, and a Monte Carlo harness for coverage and width studies.
 """
 
-from .base import Dataset, IntervalResult, QuantileSpec
+from .base import Dataset, IntervalResult, QuantileSpec, Replicates
 from .errors import (
     AllWeightsZero,
     BracketFailure,
@@ -42,6 +42,7 @@ from .synthetic import (
     indistinguishable_pair,
     mixture_weight,
     sample_dataset,
+    sample_replicates,
     signal_eval,
     true_q_cdf,
     true_theta,
@@ -71,6 +72,7 @@ __all__ = [
     "ParseError",
     "QuadratureFailure",
     "QuantileSpec",
+    "Replicates",
     "RngStream",
     "Signal",
     "SyntheticModel",
@@ -91,6 +93,7 @@ __all__ = [
     "rejection_sample",
     "run_experiment",
     "sample_dataset",
+    "sample_replicates",
     "sigma_hat_p",
     "signal_eval",
     "summaries_csv",

@@ -53,8 +53,13 @@ class Dataset:
         object.__setattr__(self, "covariates", _frozen_float_array(cov, 2, "covariates"))
         object.__setattr__(self, "responses", _frozen_float_array(self.responses, 1, "responses"))
         if self.normalization is not None:
-            object.__setattr__(self, "normalization", tuple(
-                _frozen_float_array(a, 1, "normalization") for a in self.normalization))
+            norm = tuple(_frozen_float_array(a, 1, "normalization") for a in self.normalization)
+            if len(norm) != 2 or any(a.shape != (self.dim,) for a in norm):
+                raise ValueError(
+                    f"normalization must be a (mean, sd) pair of {self.dim} entries each, "
+                    f"one per covariate; got shapes {[a.shape for a in norm]}"
+                )
+            object.__setattr__(self, "normalization", norm)
         if self.covariates.shape[0] != self.responses.shape[0]:
             raise ValueError("covariates and responses must have the same number of rows")
         if self.responses.shape[0] < 1:
@@ -82,6 +87,35 @@ class Dataset:
         """
         order = np.argsort(self.covariates[:, 0], kind="stable")
         return _read_only(order, self.covariates[order, 0])
+
+
+@dataclass(frozen=True, eq=False)
+class Replicates:
+    """R datasets of n rows each, stacked on a leading replicate axis.
+
+    covariates has shape (R, n, d), responses shape (R, n); both are
+    converted as every Dataset array is (read-only, finite, one sign of zero).
+    """
+
+    covariates: np.ndarray
+    responses: np.ndarray
+
+    def __post_init__(self):
+        cov = _frozen_float_array(self.covariates, 3, "covariates")
+        resp = _frozen_float_array(self.responses, 2, "responses")
+        if cov.shape[:2] != resp.shape or resp.shape[1] < 1:
+            raise ValueError(f"covariates {cov.shape} and responses {resp.shape} must be "
+                             "(R, n, d) and (R, n) with n >= 1")
+        object.__setattr__(self, "covariates", cov)
+        object.__setattr__(self, "responses", resp)
+
+    @property
+    def n(self) -> int:
+        return self.responses.shape[1]
+
+    @property
+    def dim(self) -> int:
+        return self.covariates.shape[2]
 
 
 @dataclass(frozen=True)
@@ -152,23 +186,26 @@ class IntervalResult:
 class IntervalBatch:
     """One interval per cell, as arrays indexed by cell.
 
-    `errors[k]` is the LocalQuantError cell k raises, or None; a failed cell
-    has NaN endpoints. `details` maps further IntervalResult fields
-    (`accepted`, or `p_hat_lo`, `p_hat_hi` and `sigma_hat`) to per-cell lists.
+    The cells have the shape of the localization's weight sums: (C,) for one
+    dataset, (R, C) for R replicates. `errors[k]` is the LocalQuantError cell
+    k raises, or None; a failed cell has NaN endpoints. `details` maps further
+    IntervalResult fields (`accepted`, or `p_hat_lo`, `p_hat_hi` and
+    `sigma_hat`) to arrays of the same shape.
     """
 
     method: str
     lower: np.ndarray
     upper: np.ndarray
     n_eff: np.ndarray
-    errors: list
+    errors: np.ndarray
     details: dict
 
-    def result(self, k: int) -> IntervalResult:
-        """Cell k as an IntervalResult; raises the error of a failed cell."""
+    def result(self, k) -> IntervalResult:
+        """Cell k (an index into the cell shape) as an IntervalResult; raises
+        the error of a failed cell."""
         if self.errors[k] is not None:
             raise self.errors[k]
-        extra = {name: values[k] for name, values in self.details.items()}
+        extra = {name: values[k].item() for name, values in self.details.items()}
         return IntervalResult(
             float(self.lower[k]), float(self.upper[k]), self.method, float(self.n_eff[k]), **extra
         )

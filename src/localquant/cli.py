@@ -113,9 +113,16 @@ def load_csv(path: str, x_columns: list[str], y_column: str, normalize: bool = F
 
     normalization = None
     if normalize:
-        means = covariates.mean(axis=0)
-        sds = covariates.std(axis=0)
-        for j, sd in enumerate(sds):
+        # a sum or square beyond the float range gives inf or nan, reported below
+        with np.errstate(over="ignore", invalid="ignore"):
+            means = covariates.mean(axis=0)
+            sds = covariates.std(axis=0)
+        for j, (mean, sd) in enumerate(zip(means.tolist(), sds.tolist())):
+            if not (math.isfinite(mean) and math.isfinite(sd)):
+                raise DomainError(
+                    f"column {x_columns[j]!r} cannot be normalized: its mean or sd overflows "
+                    f"(mean = {mean!r}, sd = {sd!r})"
+                )
             if sd == 0.0:
                 raise ConstantColumn(f"column {x_columns[j]!r} is constant (sd = 0)")
         covariates = (covariates - means) / sds

@@ -2,9 +2,10 @@
 
 Each replicate draws a fresh dataset from the synthetic model (stream id =
 replicate number), computes every requested interval on the (x0, h) grid,
-and tests whether it contains the oracle quantile. Per-replicate randomness
-is counter-based, so results are identical no matter how many worker threads
-aggregate the replicates.
+and tests whether it contains the oracle quantile. Replicates are computed in
+chunks, with a leading replicate axis through the interval engine.
+Per-replicate randomness is counter-based, so results are identical no matter
+how the replicates are chunked or how many worker threads share the chunks.
 """
 
 from __future__ import annotations
@@ -21,12 +22,16 @@ from .base import QuantileSpec
 from .errors import AllWeightsZero
 from .kernels import Kernel, LocalizationSpec, localize
 from .qr import qr_cells
-from .rng import RngStream
-from .synthetic import NoiseSetting, Signal, SyntheticModel, sample_dataset, true_theta
+from .rng import stream_keys, substream_keys
+from .synthetic import NoiseSetting, Signal, SyntheticModel, sample_replicates, true_theta
 from .wq import wq_cells
 
 # tag for the rejection-acceptance sub-stream of a replicate stream
 _TAG_QR = 3
+
+# weights (replicate x cell x row) per chunk of replicates: 8 replicates of
+# 20 cells at n = 200; larger chunks raise peak memory and gain little
+_CHUNK_ELEMENTS = 32_768
 
 CSV_COLUMNS = (
     "signal",
@@ -108,58 +113,81 @@ class CellSummary:
     theta_true: float
 
 
-def _replicate_results(config: ExperimentConfig, rep: int, thetas: np.ndarray) -> np.ndarray:
-    """(covered, finite, width, n_eff) rows of one replicate, one column per cell.
+def _chunk_results(config: ExperimentConfig, reps: range, thetas: np.ndarray) -> np.ndarray:
+    """(covered, finite, width, n_eff) of replicates `reps`: shape (4, cells, len(reps)).
 
-    Every (x0, h) cell of both methods comes from one localization of the
-    replicate's dataset. A WQ cell without weight counts as not covered and
-    not finite; any other failure is raised, the first in cell order.
+    Every (x0, h) cell of both methods of every replicate comes from one
+    localization of the chunk. A WQ cell without weight counts as not covered
+    and not finite; any other failure is raised, the first in (replicate,
+    cell) order.
     """
-    rng = RngStream(config.master_seed, rep)
-    data = sample_dataset(config.model, config.n, rng)
+    keys = stream_keys(config.master_seed, reps)
+    data = sample_replicates(config.model, config.n, config.master_seed, keys)
     loc = localize(data, config.specs)
     q = config.quantile_spec
-    qr_rng = rng.substream(_TAG_QR)
     m = len(config.methods)
-    out = np.empty((4, len(config.specs) * m))
+    out = np.empty((4, len(config.specs) * m, len(reps)))
     failures = []
     for j, method in enumerate(config.methods):
         if method == "WQ":
             batch = wq_cells(loc, q)
         else:
-            # cell k draws from stream 2k + 1, its QR column in a (WQ, QR) study,
-            # whatever the method list: its draws depend on (seed, replicate, x0, h) only
-            streams = [qr_rng.substream(2 * k + 1) for k in range(len(config.specs))]
-            batch = qr_cells(loc, q, streams)
-        failures += [(k * m + j, e) for k, e in enumerate(batch.errors)
-                     if e is not None and not isinstance(e, AllWeightsZero)]
-        out[:, j::m] = (
+            # cell k draws from stream 2k + 1 of the replicate's QR substream, its
+            # QR column in a (WQ, QR) study, whatever the method list: its draws
+            # depend on (seed, replicate, x0, h) only
+            qr_keys = substream_keys(config.master_seed, keys, [_TAG_QR])[:, 0]
+            cell_tags = range(1, 2 * len(config.specs), 2)
+            batch = qr_cells(loc, q, substream_keys(config.master_seed, qr_keys, cell_tags))
+        failures += [(r, k * m + j, batch.errors[r, k])
+                     for r, k in zip(*np.nonzero(np.not_equal(batch.errors, None)))
+                     if not isinstance(batch.errors[r, k], AllWeightsZero)]
+        out[:, j::m] = np.swapaxes((
             (batch.lower <= thetas) & (thetas <= batch.upper),
             np.isfinite(batch.lower) & np.isfinite(batch.upper),
             batch.upper - batch.lower,
             batch.n_eff,
-        )
+        ), 1, 2)
     if failures:
-        raise min(failures, key=lambda f: f[0])[1]
+        raise min(failures, key=lambda f: f[:2])[2]
     return out
+
+
+def _chunks(config: ExperimentConfig) -> list[range]:
+    """Replicates 1..n_sim in order, in chunks of at most _CHUNK_ELEMENTS
+    (replicate x cell x row) weights and at least one replicate each."""
+    size = max(1, _CHUNK_ELEMENTS // (len(config.specs) * config.n))
+    return [range(first, min(first + size, config.n_sim + 1))
+            for first in range(1, config.n_sim + 1, size)]
+
+
+def _study_stats(config: ExperimentConfig, thetas: np.ndarray, workers: int = 1) -> np.ndarray:
+    """(covered, finite, width, n_eff) of every replicate: shape (4, cells, n_sim).
+
+    `workers` threads share the chunks; the first failure of the earliest
+    chunk is raised. The array is a new C-contiguous one, so each cell's
+    series is contiguous and its means add in the same order as over a 1-d
+    array of the replicates.
+    """
+    chunks = _chunks(config)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(lambda reps: _chunk_results(config, reps, thetas), chunks))
+    else:
+        parts = [_chunk_results(config, reps, thetas) for reps in chunks]
+    return np.concatenate(parts, axis=2)
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[CellSummary]:
     """Run the study and aggregate one summary per (x0, h, method) cell.
 
-    Deterministic for a fixed config: replicates use independent
-    counter-based streams, so the worker count changes only the wall time.
+    Replicates run in chunks of a fixed number of weights, so memory per
+    chunk is bounded whatever n_sim is, and `workers` threads share the
+    chunks. Deterministic for a fixed config: replicates use independent
+    counter-based streams, so neither the chunks nor the worker count change
+    any result.
     """
     thetas = np.array([true_theta(config.model, spec, config.p) for spec in config.specs])
-    reps = range(1, config.n_sim + 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda r: _replicate_results(config, r, thetas), reps))
-    else:
-        rows = [_replicate_results(config, r, thetas) for r in reps]
-    # (quantity, cell, replicate): each cell's series is contiguous, so its
-    # means add in the same order as over a 1-d array of the replicates
-    stats = np.stack(rows, axis=2)
+    stats = _study_stats(config, thetas, workers)
 
     summaries = []
     for cell_idx, (x0, h, method) in enumerate(config.cells):

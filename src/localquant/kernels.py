@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .base import Dataset, _frozen_float_array, _read_only
+from .base import Dataset, Replicates, _frozen_float_array, _read_only
 from .errors import DimensionMismatch
 from .weighted import WeightedSample, weight_stats
 
@@ -119,33 +119,37 @@ class LocalizationSpec:
 
 @dataclass(frozen=True, eq=False)
 class Localization:
-    """Kernel weights of C cells on one dataset; row k of `weights` is cell k.
+    """Kernel weights of C cells on one dataset, or on each of R replicates.
 
-    `weights` has shape (C, n) in row order, zero outside each cell's support;
-    `rows` lists, ascending, every row with positive weight in some cell.
-    `weight_sum`, `n_eff` and `errors` are `weighted.weight_stats(weights)`.
-    Every array is read-only.
+    For a Dataset, `responses` is (n,) and `weights` (C, n); for Replicates
+    they are (R, n) and (R, C, n). `weights` is in row order, zero outside
+    each cell's support; `rows` lists, ascending, every row with positive
+    weight in some cell of some dataset. `weight_sum`, `n_eff` and `errors`
+    are `weighted.weight_stats(weights)`, one entry per cell. Every array is
+    read-only.
     """
 
-    data: Dataset
+    responses: np.ndarray
     kernel_max: float
     weights: np.ndarray
     rows: np.ndarray
     weight_sum: np.ndarray
     n_eff: np.ndarray
-    errors: tuple
+    errors: np.ndarray
 
 
-def localize(data: Dataset, specs) -> Localization:
+def localize(data: Dataset | Replicates, specs) -> Localization:
     """Kernel weights of every row of `data` for each spec (cell) in `specs`.
 
-    The specs share one kernel. The kernel is evaluated only on the rows
-    whose first covariate lies in one span, from the lowest lower end to the
-    highest upper end of the cells' dimension-0 support windows, found by two
-    binary searches in `data.first_column_index`; every other row has a zero
-    factor in each cell's product kernel. Within the span each cell is
-    evaluated on every row, with the same elementwise operations as a single
-    cell, so a row outside a cell's own window gets exactly 0 there too.
+    The specs share one kernel. On a Dataset the kernel is evaluated only on
+    the rows whose first covariate lies in one span, from the lowest lower
+    end to the highest upper end of the cells' dimension-0 support windows,
+    found by two binary searches in `data.first_column_index`; every other
+    row has a zero factor in each cell's product kernel. Replicates are
+    evaluated on every row. Each cell is evaluated with the same elementwise
+    operations as a single cell, and a row outside a cell's own window has
+    |u| beyond the support radius in floating point (or u overflows to
+    infinity), so it gets exactly 0 there.
     """
     specs = list(specs)
     if not specs:
@@ -160,25 +164,33 @@ def localize(data: Dataset, specs) -> Localization:
             )
     centers = np.array([spec.center for spec in specs])
     bandwidths = np.array([spec.bandwidths for spec in specs])
-    order, column = data.first_column_index
-    center = centers[:, 0]
-    half = kernel.support_radius * bandwidths[:, 0]
-    # the relative margin dwarfs the rounding of (center - x) / h and of the
-    # window ends, so a row left out (x <= lower end or x > upper end) has
-    # |u| > support_radius in floating point too; the floor keeps the
-    # margin a normal number when center and half-width are tiny
-    margin = np.maximum(_WINDOW_MARGIN * (np.abs(center) + half), _TINY_NORMAL)
-    lo = np.searchsorted(column, np.min(center - half - margin), "right")
-    hi = np.searchsorted(column, np.max(center + half + margin), "right")
-    rows = order[lo:hi]
-    u = (centers[:, None, :] - data.covariates[rows]) / bandwidths[:, None, :]
-    local = np.prod(kernel.evaluate(u), axis=2)
+    if isinstance(data, Dataset):
+        order, column = data.first_column_index
+        center = centers[:, 0]
+        half = kernel.support_radius * bandwidths[:, 0]
+        # the relative margin dwarfs the rounding of (center - x) / h and of the
+        # window ends, so a row left out (x <= lower end or x > upper end) has
+        # |u| > support_radius in floating point too; the floor keeps the
+        # margin a normal number when center and half-width are tiny
+        margin = np.maximum(_WINDOW_MARGIN * (np.abs(center) + half), _TINY_NORMAL)
+        lo = np.searchsorted(column, np.min(center - half - margin), "right")
+        hi = np.searchsorted(column, np.max(center + half + margin), "right")
+        span = order[lo:hi]
+    else:
+        span = slice(None)
+    with np.errstate(over="ignore"):
+        # (..., C, m, d): a cell axis before the rows of each dataset
+        u = (centers[:, None, :] - data.covariates[..., None, span, :]) / bandwidths[:, None, :]
+        local = np.prod(kernel.evaluate(u), axis=-1)
     local[local < _WEIGHT_FLOOR] = 0.0
-    weights = np.zeros((len(specs), data.n))
-    weights[:, rows] = local
-    support = np.flatnonzero(weights.any(axis=0))
+    if isinstance(data, Dataset):
+        weights = np.zeros((len(specs), data.n))
+        weights[:, span] = local
+    else:
+        weights = local
+    rows = np.flatnonzero(weights.reshape(-1, data.n).any(axis=0))
     return Localization(
-        data, specs[0].kernel_max, *_read_only(weights, support), *weight_stats(weights)
+        data.responses, specs[0].kernel_max, *_read_only(weights, rows), *weight_stats(weights)
     )
 
 

@@ -113,10 +113,11 @@ def quantile_ci_indices(
 
 
 def ci_ranks(i_min, i_max, sizes, p: float, alpha1: float, alpha2: float):
-    """quantile_ci_indices for C samples at once: arrays (l_hat, u_hat).
+    """quantile_ci_indices for many samples at once: arrays (l_hat, u_hat).
 
-    Row k of the (C, R) `i_min`/`i_max` holds first/last tie indices of
-    sample k, of size sizes[k] (entries may repeat, in any order). With the
+    Sample k has size sizes[k] (any shape of samples) and first/last tie
+    indices i_min[k, :]/i_max[k, :] along the last axis (entries may repeat,
+    in any order, and may be the sentinels size + 1 and 0). With the
     thresholds (L, U) of `_ci_thresholds`, l_hat is the largest i_max <= L
     (or 0) and u_hat the smallest i_min >= U (or size + 1): the last index
     of a tie run is its i_max and the first its i_min.
@@ -124,30 +125,39 @@ def ci_ranks(i_min, i_max, sizes, p: float, alpha1: float, alpha2: float):
     if not (0.0 <= alpha1 < 1.0 and 0.0 <= alpha2 < 1.0):
         raise ValueError("alpha1 and alpha2 must lie in [0, 1)")
     sizes = np.asarray(sizes)
-    bounds = np.array([_ci_thresholds(n, p, alpha1, alpha2) for n in sizes.tolist()])
-    l_hat = np.where(i_max <= bounds[:, :1], i_max, 0).max(axis=1)
-    u_hat = np.where(i_min >= bounds[:, 1:], i_min, sizes[:, None] + 1).min(axis=1)
+    bounds = np.array([_ci_thresholds(n, p, alpha1, alpha2) for n in sizes.ravel().tolist()])
+    bounds = bounds.reshape(sizes.shape + (2,))
+    l_hat = np.where(i_max <= bounds[..., :1], i_max, 0).max(axis=-1)
+    u_hat = np.where(i_min >= bounds[..., 1:], i_min, sizes[..., None] + 1).min(axis=-1)
     return l_hat, u_hat
 
 
 def subsample_quantile_cis(values, members, p: float, alpha1: float, alpha2: float):
-    """Distribution-free CIs for the p-th quantile of C subsamples of one sample.
+    """Distribution-free CIs for the p-th quantile of subsamples of sorted samples.
 
-    `values` is sorted ascending and row k of the (C, m) boolean `members`
-    marks the rows of i.i.d. subsample k. Returns the arrays (lower, upper,
-    sizes); an empty subsample gets the trivial interval (-inf, inf). Tie
-    runs are found once on `values`; within subsample k, the rank of each
-    member is the running count of members, so the last member of a run has
-    the rank count at the run's end.
+    `values` is (..., m), sorted ascending along the last axis, and cell k of
+    the (..., C, m) boolean `members` marks the rows of i.i.d. subsample k of
+    its sample. Returns the arrays (lower, upper, sizes) of shape (..., C);
+    an empty subsample gets the trivial interval (-inf, inf).
+
+    Within a subsample the rank of each member is the running count of
+    members, so the members of a tie run have ranks from one more than the
+    count before the run's first position (its i_min, read there) to the
+    count at its last position (its i_max, read there). Every other position
+    carries the sentinels i_max = 0 and i_min = size + 1, which the threshold
+    search of `ci_ranks` already admits, so no position depends on another.
     """
-    count, m = members.shape
-    if m == 0:
-        return np.full(count, -math.inf), np.full(count, math.inf), np.zeros(count, dtype=int)
-    ranks = np.cumsum(members, axis=1)
-    sizes = ranks[:, -1]
-    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
-    i_max = ranks[:, np.append(starts[1:], m) - 1]
-    i_min = np.concatenate((np.zeros((count, 1), dtype=i_max.dtype), i_max[:, :-1]), axis=1) + 1
+    shape = members.shape[:-1]
+    if members.shape[-1] == 0:
+        return np.full(shape, -math.inf), np.full(shape, math.inf), np.zeros(shape, dtype=int)
+    ranks = np.cumsum(members, axis=-1)
+    sizes = ranks[..., -1]
+    change = values[..., 1:] != values[..., :-1]
+    edge = np.ones(values.shape[:-1] + (1,), dtype=bool)
+    first = np.concatenate((edge, change), axis=-1)[..., None, :]
+    last = np.concatenate((change, edge), axis=-1)[..., None, :]
+    i_max = np.where(last, ranks, 0)
+    i_min = np.where(first, ranks - members + 1, sizes[..., None] + 1)
     l_hat, u_hat = ci_ranks(i_min, i_max, sizes, p, alpha1, alpha2)
     # the member of rank r sits where the running count first reaches r
     lower = sorted_lookup(values, ranks, l_hat)

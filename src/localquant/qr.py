@@ -20,13 +20,14 @@ from .rng import RngStream, stream_uniforms
 
 
 def _accepted(loc: Localization, streams) -> np.ndarray:
-    """(C, m) mask over loc.rows: U_i <= w_i / kernel_max for draw i of streams[k].
+    """(..., C, m) mask over loc.rows: U_i <= w_i / kernel_max for draw i of
+    the stream of each cell; `streams` has one stream (or uint64 key) per cell.
 
     A zero-weight row is never kept, since every draw is positive, so only
     the draws of rows with positive weight in some cell are computed.
     """
     draws = stream_uniforms(streams, loc.rows)
-    return draws <= loc.weights[:, loc.rows] / loc.kernel_max
+    return draws <= loc.weights[..., loc.rows] / loc.kernel_max
 
 
 def rejection_sample(data: Dataset, spec: LocalizationSpec, rng: RngStream) -> np.ndarray:
@@ -43,19 +44,26 @@ def rejection_sample(data: Dataset, spec: LocalizationSpec, rng: RngStream) -> n
 def qr_cells(loc: Localization, q: QuantileSpec, streams) -> IntervalBatch:
     """Quantile Rejection intervals of every cell of `loc`; cell k draws from streams[k].
 
-    The rows accepted by some cell are sorted once, and the order-statistic
-    CI of each cell is read from its own acceptance mask in that order. A
-    cell without accepted rows gets the trivial interval; a cell fails only
-    with the DomainError of an underflowing n_eff.
+    `streams` is a sequence of RngStream, one per cell, or a uint64 array of
+    stream keys with the shape of the cells. The rows accepted by some cell
+    are sorted once per dataset, and the order-statistic CI of each cell is
+    read from its own acceptance mask in that order. A cell without accepted
+    rows gets the trivial interval; a cell fails only with the DomainError of
+    an underflowing n_eff.
     """
     accept = _accepted(loc, streams)
-    cols = np.flatnonzero(accept.any(axis=0))
-    ys = loc.data.responses[loc.rows[cols]]
-    order = np.argsort(ys, kind="stable")
-    members = accept[:, cols[order]]
-    lower, upper, sizes = subsample_quantile_cis(ys[order], members, q.p, q.alpha1, q.alpha2)
-    errors = [e if isinstance(e, DomainError) else None for e in loc.errors]
-    return IntervalBatch("QR", lower, upper, loc.n_eff, errors, {"accepted": sizes.tolist()})
+    cols = np.flatnonzero(accept.any(axis=tuple(range(accept.ndim - 1))))
+    ys = loc.responses[..., loc.rows[cols]]
+    order = np.argsort(ys, axis=-1, kind="stable")
+    members = np.take_along_axis(accept, cols[order][..., None, :], axis=-1)
+    lower, upper, sizes = subsample_quantile_cis(
+        np.take_along_axis(ys, order, axis=-1), members, q.p, q.alpha1, q.alpha2
+    )
+    errors = loc.errors.copy()
+    for cell in zip(*np.nonzero(np.not_equal(errors, None))):
+        if not isinstance(errors[cell], DomainError):
+            errors[cell] = None
+    return IntervalBatch("QR", lower, upper, loc.n_eff, errors, {"accepted": sizes})
 
 
 def qr_interval(

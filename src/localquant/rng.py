@@ -83,14 +83,44 @@ class RngStream:
         return ndtri(self.uniforms(n))
 
 
+def stream_keys(master_seed: int, stream_ids) -> np.ndarray:
+    """RngStream(master_seed, i).key for each integer i of `stream_ids`, as a uint64 array.
+
+    The ids are taken modulo 2**64, as RngStream takes them; the arithmetic is
+    done on arrays, where uint64 products wrap silently.
+    """
+    return _keys_of_ids(master_seed, np.array([int(i) & _MASK64 for i in stream_ids], np.uint64))
+
+
+def substream_keys(master_seed: int, keys: np.ndarray, tags) -> np.ndarray:
+    """Keys of the substreams `tags` of the streams of master_seed with the uint64
+    `keys`: entry [..., t] is the key of stream.substream(tags[t]), of shape
+    keys.shape + (len(tags),)."""
+    t = np.array([int(tag) & _MASK64 for tag in tags], dtype=np.uint64)
+    t = t * np.uint64(_GOLDEN) + np.uint64(1)
+    return _keys_of_ids(master_seed, _mix_array(np.asarray(keys, dtype=np.uint64)[..., None] ^ t))
+
+
+def _keys_of_ids(master_seed: int, ids: np.ndarray) -> np.ndarray:
+    """RngStream.key of each stream id of the uint64 array `ids`."""
+    return _mix_array(np.uint64(_mix_int(master_seed)) ^ (ids * np.uint64(_GOLDEN)))
+
+
 def stream_uniforms(streams, idx) -> np.ndarray:
-    """Draws `idx` of several streams at once: row k is streams[k].uniforms_at(idx)."""
+    """Draws `idx` of several streams at once, of shape keys.shape + idx.shape.
+
+    `streams` is a sequence of RngStream or a uint64 array of their keys;
+    entry [k, ...] is streams[k].uniforms_at(idx).
+    """
     idx = np.asarray(idx)
     if idx.dtype.kind not in "iu":
         raise ValueError("draw indices must be integers")
     if idx.dtype.kind == "i" and idx.size and idx.min() < 0:
         raise ValueError("draw indices must be nonnegative")
-    keys = np.array([s.key for s in streams], dtype=np.uint64)
+    if isinstance(streams, np.ndarray):
+        keys = streams.astype(np.uint64, copy=False)
+    else:
+        keys = np.array([s.key for s in streams], dtype=np.uint64)
     keys = keys.reshape(keys.shape + (1,) * idx.ndim)
     # counters wrap modulo 2**64, as uint64 arithmetic does
     counters = keys + np.uint64(_GOLDEN) * (idx.astype(np.uint64, copy=False) + np.uint64(1))

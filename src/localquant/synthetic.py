@@ -22,12 +22,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, roots_legendre
+from scipy.special import ndtr, ndtri, roots_legendre
 
-from .base import Dataset
+from .base import Dataset, Replicates
 from .errors import BracketFailure, DomainError, QuadratureFailure
 from .kernels import Kernel, LocalizationSpec
-from .rng import RngStream
+from .rng import RngStream, stream_uniforms, substream_keys
 
 _ROOT_TOL = 1e-10
 _ROOT_MAXITER = 200
@@ -197,14 +197,28 @@ class SyntheticModel:
         return float(np.min(f)), float(np.max(f))
 
 
-def sample_dataset(model: SyntheticModel, n: int, rng: RngStream) -> Dataset:
-    """Draw n i.i.d. rows from the model, deterministically per stream."""
+def sample_replicates(model: SyntheticModel, n: int, master_seed: int, keys) -> Replicates:
+    """Draw n i.i.d. rows from the model for each stream key of `master_seed`.
+
+    Replicate r is a pure function of its stream: covariates from its
+    substream _TAG_X, noise from its substream _TAG_NOISE, row i from draw i.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
-    x = rng.substream(_TAG_X).uniforms(n)
-    z = rng.substream(_TAG_NOISE).normals(n)
+    x_keys, noise_keys = substream_keys(master_seed, keys, (_TAG_X, _TAG_NOISE)).T
+    rows = np.arange(n)
+    x = stream_uniforms(x_keys, rows)
+    z = ndtri(stream_uniforms(noise_keys, rows))
     y = signal_eval(model.signal, x) + model.noise.sigma(x) * z
-    return Dataset(covariates=x[:, None], responses=y, x_names=("x",), y_name="y")
+    return Replicates(x[:, :, None], y)
+
+
+def sample_dataset(model: SyntheticModel, n: int, rng: RngStream) -> Dataset:
+    """Draw n i.i.d. rows from the model, deterministically per stream: the
+    replicate of `sample_replicates` with the stream's key."""
+    reps = sample_replicates(model, n, rng.master_seed, [rng.key])
+    return Dataset(covariates=reps.covariates[0], responses=reps.responses[0],
+                   x_names=("x",), y_name="y")
 
 
 def _window(spec: LocalizationSpec) -> tuple[float, float]:

@@ -70,28 +70,31 @@ class WeightedSample:
 
 def sorted_cumulative(responses: np.ndarray, weights: np.ndarray, rows: np.ndarray):
     """Responses of `rows` in stable ascending order, and the cumulative
-    normalized weights of each row of the (C, n) `weights` in that order.
+    normalized weights of each cell of `weights` in that order.
 
-    A row of `weights` that is zero on some of `rows` adds exactly 0.0 there,
-    and the stable order restricted to its positive rows is their own stable
-    order, so its cumulative weights at those rows are the same bits as when
-    only they are sorted. Rows of `weights` with no weight stay all zero.
+    `responses` is (n,) with (C, n) `weights`, or (R, n) with (R, C, n)
+    `weights` for R datasets; each dataset is sorted on its own. A cell that
+    is zero on some of `rows` adds exactly 0.0 there, and the stable order
+    restricted to its positive rows is their own stable order, so its
+    cumulative weights at those rows are the same bits as when only they are
+    sorted. Cells with no weight stay all zero.
     """
-    order = rows[np.argsort(responses[rows], kind="stable")]
-    cum = np.cumsum(weights[:, order], axis=1)
-    last = cum[:, -1:]
+    order = rows[np.argsort(responses[..., rows], axis=-1, kind="stable")]
+    cum = np.cumsum(np.take_along_axis(weights, order[..., None, :], axis=-1), axis=-1)
+    last = cum[..., -1:]
     cum /= np.where(last > 0.0, last, 1.0)
-    return responses[order], cum
+    return np.take_along_axis(responses, order, axis=-1), cum
 
 
 def sorted_lookup(resp: np.ndarray, cum: np.ndarray, levels) -> np.ndarray:
-    """Per row k of the (C, m) `cum`, the first of `resp` whose cumulative
-    weight (or count) reaches levels[k].
+    """Per cell k of the (..., C, m) `cum`, the first of the (..., m) `resp`
+    whose cumulative weight (or count) reaches levels[..., k].
 
     Counting the entries below the level is exact because `cum` is monotone.
     """
-    below = (cum < np.asarray(levels, dtype=float)[:, None]).sum(axis=1)
-    return resp[np.minimum(below, resp.shape[0] - 1)]
+    below = (cum < np.asarray(levels, dtype=float)[..., None]).sum(axis=-1)
+    idx = np.minimum(below, resp.shape[-1] - 1)
+    return np.take_along_axis(resp[..., None, :], idx[..., None], axis=-1)[..., 0]
 
 
 def weighted_cdf(ws: WeightedSample, y: float) -> float:
@@ -110,20 +113,23 @@ def weighted_quantile(ws: WeightedSample, p: float) -> float:
 
 
 def weight_stats(weights: np.ndarray):
-    """Per row of the (C, n) `weights`: its sum, its effective sample size (0.0 if
-    the row fails), both read-only, and the AllWeightsZero or DomainError it raises, or None."""
-    sums = weights.sum(axis=1)
-    errors, n_eff = [], np.zeros(sums.shape[0])
+    """Per cell of the (..., C, n) `weights`: its sum, its effective sample size
+    (0.0 if the cell fails), and the AllWeightsZero or DomainError it raises, or
+    None, as an object array; all three are read-only."""
+    sums = weights.sum(axis=-1)
+    sum_sq = (weights**2).sum(axis=-1)
+    no_weight = sums <= 0.0
+    underflow = ~no_weight & (sum_sq == 0.0)
+    ok = ~(no_weight | underflow)
+    n_eff = np.zeros(sums.shape)
     # total**2 on a Python float, not numpy's x*x (see wq._sigma_rows)
-    for k, (total, sum_sq) in enumerate(zip(sums.tolist(), (weights**2).sum(axis=1).tolist())):
-        if total <= 0.0:
-            errors.append(AllWeightsZero("all localization weights are zero"))
-        elif sum_sq == 0.0:
-            errors.append(DomainError("the squared localization weights underflow to zero"))
-        else:
-            errors.append(None)
-            n_eff[k] = total**2 / sum_sq
-    return (*_read_only(sums, n_eff), tuple(errors))
+    n_eff[ok] = np.array([total**2 for total in sums[ok].tolist()]) / sum_sq[ok]
+    errors = np.full(sums.shape, None, dtype=object)
+    for cell in zip(*np.nonzero(no_weight)):
+        errors[cell] = AllWeightsZero("all localization weights are zero")
+    for cell in zip(*np.nonzero(underflow)):
+        errors[cell] = DomainError("the squared localization weights underflow to zero")
+    return _read_only(sums, n_eff, errors)
 
 
 def effective_sample_size(ws: WeightedSample) -> float:

@@ -29,15 +29,19 @@ NEFF_GUIDELINE = 10.0
 _TINY_LEVEL = float(np.nextafter(0.0, 1.0))
 
 
-def _sigma_rows(weights: np.ndarray, sums, responses: np.ndarray, p: float, thetas) -> list:
-    """sigma_hat_p of each row of the (C, n) `weights`, whose row sums are
-    `sums`, at thetas[k]; None where the squared mean weight underflows to zero."""
-    dev = (responses[None, :] <= np.asarray(thetas)[:, None]).astype(float) - p
-    nums = np.mean(weights**2 * dev**2, axis=1).tolist()
+def _sigma_rows(weights: np.ndarray, sums, responses: np.ndarray, p: float, thetas):
+    """sigma_hat_p of each cell of the (..., C, n) `weights`, whose sums are
+    `sums`, at thetas[..., k]; NaN where the squared mean weight underflows to zero."""
+    dev = (responses[..., None, :] <= np.asarray(thetas)[..., None]).astype(float) - p
+    nums = np.mean(weights**2 * dev**2, axis=-1)
     # sums / n is np.mean bit for bit; Python's ** (C pow) differs from numpy's
     # x*x in the last bit for some x, and tests/data and perfbench/reference.json use **
-    dens = [mean**2 for mean in (np.asarray(sums) / weights.shape[1]).tolist()]
-    return [math.sqrt(num / den) if den != 0.0 else None for num, den in zip(nums, dens)]
+    means = (np.asarray(sums) / weights.shape[-1]).ravel().tolist()
+    dens = np.array([mean**2 for mean in means]).reshape(nums.shape)
+    sigmas = np.full(nums.shape, math.nan)
+    ok = dens != 0.0
+    sigmas[ok] = np.sqrt(nums[ok] / dens[ok])
+    return sigmas
 
 
 def sigma_hat_p(ws: WeightedSample, p: float, theta_tilde: float) -> float:
@@ -50,62 +54,59 @@ def sigma_hat_p(ws: WeightedSample, p: float, theta_tilde: float) -> float:
     if ws.weight_sum <= 0.0:
         raise AllWeightsZero("all localization weights are zero")
     sigma = _sigma_rows(ws.weights[None, :], [ws.weight_sum], ws.responses, p, [theta_tilde])[0]
-    if sigma is None:
+    if math.isnan(sigma):
         raise DomainError("the squared mean localization weight underflows to zero")
-    return sigma
-
-
-def _clamp_level(level: float) -> float:
-    """Restrict a nominal CDF level to the domain (0, 1] of the inverse."""
-    return min(max(level, _TINY_LEVEL), 1.0)
+    return float(sigma)
 
 
 def wq_cells(loc: Localization, q: QuantileSpec) -> IntervalBatch:
     """Weighted Quantile intervals of every cell of `loc`, computed together.
 
-    The positive-weight rows of all cells are sorted once; each cell reads
-    its quantiles from its own row of cumulative weights in that order. A
+    The positive-weight rows of all cells of a dataset are sorted once; each
+    cell reads its quantiles from its own cumulative weights in that order. A
     cell fails with AllWeightsZero when it has no weight, and with
     DomainError when its weights are too small for n_eff, sigma_hat or
     ordered levels. Emits no warnings.
     """
-    resp, weights = loc.data.responses, loc.weights
-    count = weights.shape[0]
-    errors = list(loc.errors)
-    details = {name: [math.nan] * count for name in ("p_hat_lo", "p_hat_hi", "sigma_hat")}
+    resp, weights = loc.responses, loc.weights
+    shape = loc.weight_sum.shape
+    errors = loc.errors.copy()
     if not loc.rows.size:  # no cell has weight
-        nan = np.full(count, math.nan)
+        nan = np.full(shape, math.nan)
+        details = dict.fromkeys(("p_hat_lo", "p_hat_hi", "sigma_hat"), nan)
         return IntervalBatch("WQ", nan, nan, loc.n_eff, errors, details)
     srt, cum = sorted_cumulative(resp, weights, loc.rows)
-    thetas = sorted_lookup(srt, cum, [q.p] * count)
+    thetas = sorted_lookup(srt, cum, np.full(shape, q.p))
     sigmas = _sigma_rows(weights, loc.weight_sum, resp, q.p, thetas)
-    root_n = math.sqrt(loc.data.n)
+    root_n = math.sqrt(weights.shape[-1])
     z_lo = float(ndtri(q.alpha1))
     z_hi = float(ndtri(1.0 - q.alpha + q.alpha1))
-    levels = np.ones((2, count))
-    for k, sigma in enumerate(sigmas):
-        if errors[k] is not None:
-            continue
-        if sigma is None:
-            errors[k] = DomainError("the squared mean localization weight underflows to zero")
-            continue
-        p_hat_1 = q.p + z_lo * sigma / root_n
-        p_hat_2 = q.p + z_hi * sigma / root_n
-        # z_lo < z_hi whenever alpha < 1, so the levels are ordered unless one
-        # is NaN: with alpha1 = 0, z = -inf meets a sigma that underflowed to
-        # 0 because the weights are tiny
-        if not p_hat_1 <= p_hat_2:
-            errors[k] = DomainError(
-                f"WQ levels are not ordered (p_hat_lo={p_hat_1!r}, "
-                f"p_hat_hi={p_hat_2!r}, sigma_hat={sigma!r}): the localization "
-                "weights are too small for the plug-in variance"
-            )
-            continue
-        levels[:, k] = _clamp_level(p_hat_1), _clamp_level(p_hat_2)
-        details["p_hat_lo"][k], details["p_hat_hi"][k] = p_hat_1, p_hat_2
-        details["sigma_hat"][k] = sigma
-    failed = np.array([e is not None for e in errors])
-    lower, upper = (np.where(failed, math.nan, sorted_lookup(srt, cum, lv)) for lv in levels)
+    # IEEE operations in the order of the scalar formula; -inf * 0.0 is NaN
+    with np.errstate(invalid="ignore"):
+        p_hat_lo = q.p + z_lo * sigmas / root_n
+        p_hat_hi = q.p + z_hi * sigmas / root_n
+    pending = np.equal(errors, None)
+    underflow = pending & np.isnan(sigmas)
+    # z_lo < z_hi whenever alpha < 1, so the levels are ordered unless one
+    # is NaN: with alpha1 = 0, z = -inf meets a sigma that underflowed to
+    # 0 because the weights are tiny
+    unordered = pending & ~underflow & ~(p_hat_lo <= p_hat_hi)
+    for cell in zip(*np.nonzero(underflow)):
+        errors[cell] = DomainError("the squared mean localization weight underflows to zero")
+    for cell in zip(*np.nonzero(unordered)):
+        errors[cell] = DomainError(
+            f"WQ levels are not ordered (p_hat_lo={p_hat_lo[cell].item()!r}, "
+            f"p_hat_hi={p_hat_hi[cell].item()!r}, sigma_hat={sigmas[cell].item()!r}): the "
+            "localization weights are too small for the plug-in variance"
+        )
+    failed = np.not_equal(errors, None)
+    # the levels, clamped to the domain (0, 1] of the quantile inverse
+    lower, upper = (
+        np.where(failed, math.nan, sorted_lookup(srt, cum, np.clip(level, _TINY_LEVEL, 1.0)))
+        for level in (p_hat_lo, p_hat_hi)
+    )
+    details = {name: np.where(failed, math.nan, values) for name, values in
+               (("p_hat_lo", p_hat_lo), ("p_hat_hi", p_hat_hi), ("sigma_hat", sigmas))}
     return IntervalBatch("WQ", lower, upper, loc.n_eff, errors, details)
 
 

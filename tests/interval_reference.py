@@ -1,6 +1,8 @@
 """Per-cell WQ and QR intervals as the library computed them before the
 batched engine: one localization, one sort and one binomial table lookup per
-interval. Kept as a reference for the engine tests; not collected by pytest.
+interval; and a study's replicates as the library computed them before the
+replicate axis: one dataset and one localization per replicate. Kept as a
+reference for the engine tests; not collected by pytest.
 """
 
 from __future__ import annotations
@@ -10,7 +12,18 @@ import math
 import numpy as np
 from scipy.special import gammaln, ndtri
 
-from localquant import AllWeightsZero, DomainError, IntervalResult, TieIndices
+from localquant import (
+    AllWeightsZero,
+    Dataset,
+    DomainError,
+    IntervalResult,
+    RngStream,
+    TieIndices,
+    localize,
+    qr_cells,
+    signal_eval,
+    wq_cells,
+)
 
 _WEIGHT_FLOOR = 1e-300
 _WINDOW_MARGIN = 1e-12
@@ -123,3 +136,47 @@ def qr(data, spec, q, rng):
     lower = -math.inf if l_hat == 0 else float(srt[l_hat - 1])
     upper = math.inf if u_hat == n + 1 else float(srt[u_hat - 1])
     return IntervalResult(lower, upper, "QR", n_eff, accepted=int(n))
+
+
+def replicate_results(config, rep, thetas):
+    """(covered, finite, width, n_eff) rows of replicate `rep`, one column per cell.
+
+    One RngStream per replicate, with substream 1 for the covariates, 2 for
+    the noise and 3 for QR, whose substream 2k + 1 is cell k's. A WQ cell
+    without weight counts as not covered and not finite; any other failure
+    is raised, the first in cell order.
+    """
+    rng = RngStream(config.master_seed, rep)
+    x = rng.substream(1).uniforms(config.n)
+    z = rng.substream(2).normals(config.n)
+    y = signal_eval(config.model.signal, x) + config.model.noise.sigma(x) * z
+    loc = localize(Dataset(x[:, None], y), config.specs)
+    q = config.quantile_spec
+    qr_rng = rng.substream(3)
+    m = len(config.methods)
+    out = np.empty((4, len(config.specs) * m))
+    failures = []
+    for j, method in enumerate(config.methods):
+        if method == "WQ":
+            batch = wq_cells(loc, q)
+        else:
+            streams = [qr_rng.substream(2 * k + 1) for k in range(len(config.specs))]
+            batch = qr_cells(loc, q, streams)
+        failures += [(k * m + j, e) for k, e in enumerate(batch.errors)
+                     if e is not None and not isinstance(e, AllWeightsZero)]
+        out[:, j::m] = (
+            (batch.lower <= thetas) & (thetas <= batch.upper),
+            np.isfinite(batch.lower) & np.isfinite(batch.upper),
+            batch.upper - batch.lower,
+            batch.n_eff,
+        )
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return out
+
+
+def study_stats(config, thetas):
+    """(4, cells, n_sim): replicate_results of replicates 1..n_sim, stacked."""
+    return np.stack(
+        [replicate_results(config, rep, thetas) for rep in range(1, config.n_sim + 1)], axis=2
+    )

@@ -18,6 +18,7 @@ from localquant import (
     BracketFailure,
     ConstantColumn,
     Dataset,
+    DomainError,
     Kernel,
     LocalizationSpec,
     MissingColumn,
@@ -100,6 +101,19 @@ def test_constant_column(tmp_path):
     write_csv(path, ["x", "y"], [[1.0, 1.0], [1.0, 2.0]])
     with pytest.raises(ConstantColumn):
         load_csv(str(path), ["x"], "y", normalize=True)
+
+
+def test_normalize_overflow_names_the_column(tmp_path, capsys):
+    # the mean and sd of this column overflow: an error naming it, no warning
+    path = tmp_path / "t.csv"
+    write_csv(path, ["x", "y"], [[1e308, 1.0], [-1e308, 2.0], [1e308, 3.0]])
+    with pytest.raises(DomainError, match="column 'x' cannot be normalized"):
+        load_csv(str(path), ["x"], "y", normalize=True)
+    code, out, err = run_cli(capsys, ["ci", "--data", str(path), "--x-cols", "x", "--y-col", "y",
+                                      "--normalize", "--x0", "0", "--h", "1", "--method", "wq"])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: column 'x' cannot be normalized")
+    assert "Warning" not in err
 
 
 def test_normalization(tmp_path):
@@ -544,11 +558,11 @@ def test_indist_default(capsys):
     assert rec["mixture_weight"] == pytest.approx(0.51, rel=1e-12)
 
 
-def _run_python(*args):
+def _run_python(*args, text=True):
     src = os.path.dirname(os.path.dirname(localquant.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *args], env=env, capture_output=True, text=text, timeout=120
     )
 
 
@@ -560,6 +574,17 @@ def test_module_run_is_warning_free():
     )
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+def test_optimized_simulate_matches_golden_file():
+    # asserts are stripped under -O; the study must print the same bytes
+    proc = _run_python("-O", "-m", "localquant.cli", "simulate", "--preset", "quick-spikes-s1",
+                       text=False)
+    golden = os.path.join(os.path.dirname(__file__), "data", "quick-spikes-s1.csv")
+    with open(golden, "rb") as fh:
+        expected = fh.read()
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == expected
 
 
 def test_cli_import_leaves_out_scipy_optimize():

@@ -26,6 +26,7 @@ from localquant import (
     LocalizationSpec,
     PRESETS,
     QuantileSpec,
+    Replicates,
     RngStream,
     TieIndices,
     localize,
@@ -38,6 +39,7 @@ from localquant import (
     wq_interval,
 )
 from localquant import orderstat, weighted
+from localquant.rng import stream_keys
 from localquant.experiments import ExperimentConfig
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "quick-spikes-s1.csv"
@@ -118,6 +120,42 @@ def test_engine_matches_per_cell_reference(case):
 
 
 @st.composite
+def replicate_cases(draw):
+    """R datasets of n rows and a few cells; ties, signed zeros and empty supports."""
+    kernel = draw(st.sampled_from(list(Kernel)))
+    r, d, n = draw(st.integers(1, 3)), draw(st.sampled_from([1, 2])), draw(st.integers(1, 30))
+    x = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=r * n * d, max_size=r * n * d)))
+    y = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=r * n, max_size=r * n)))
+    if draw(st.booleans()):
+        y = np.round(y, 0)
+    specs = []
+    for _ in range(draw(st.integers(1, 4))):
+        center = [draw(st.one_of(st.floats(0.0, 1.0), st.just(5.0))) for _ in range(d)]
+        bandwidths = [draw(st.floats(0.02, 0.6)) for _ in range(d)]
+        specs.append(LocalizationSpec(kernel, center, bandwidths))
+    q = QuantileSpec(draw(st.sampled_from([0.1, 0.5, 0.9])), 0.1,
+                     draw(st.sampled_from([0.0, 0.05, 0.1])))
+    return x.reshape(r, n, d), y.reshape(r, n), specs, q, draw(st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(replicate_cases())
+def test_replicate_axis_matches_one_dataset_at_a_time(case):
+    covariates, responses, specs, q, seed = case
+    keys = stream_keys(seed, range(len(responses) * len(specs))).reshape(len(responses), -1)
+    loc = localize(Replicates(covariates, responses), specs)
+    batches = wq_cells(loc, q), qr_cells(loc, q, keys)
+    for r in range(len(responses)):
+        one = localize(Dataset(covariates[r], responses[r]), specs)
+        assert loc.weights[r].tobytes() == one.weights.tobytes()
+        assert set(one.rows.tolist()) <= set(loc.rows.tolist())
+        for batch, alone in zip(batches, (wq_cells(one, q), qr_cells(one, q, keys[r]))):
+            assert cell_outcomes(alone) == [
+                outcome(batch.result, (r, k)) for k in range(len(specs))
+            ]
+
+
+@st.composite
 def underflow_cases(draw):
     """13-d cells on rows that may include the point whose weight squares to 0."""
     d = 13
@@ -184,14 +222,15 @@ def test_weight_stats_once_per_localization(monkeypatch):
     wq_cells(loc, q)
     qr_cells(loc, q, [RngStream(8).substream(k) for k in range(3)])
     assert calls == [(3, 41)]
-    # a study computes them once per replicate, for both methods together
+    # a study computes them once per chunk of replicates, for both methods
+    # together; seven replicates of 4 cells at n = 60 fit in one chunk
     calls.clear()
     config = ExperimentConfig(
         model=PRESETS["quick-spikes-s1"].model, kernel=Kernel.TRIANGULAR, bandwidths=(0.1, 0.05),
         x0_points=(0.3, 0.5), p=0.5, alpha=0.1, alpha1=0.05, n=60, n_sim=7, master_seed=3,
     )
     run_experiment(config)
-    assert calls == [(4, 60)] * 7
+    assert calls == [(7, 4, 60)]
 
 
 def test_empty_support_cells_among_others():

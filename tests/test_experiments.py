@@ -2,12 +2,20 @@ import dataclasses
 import io
 import math
 import warnings
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import interval_reference as ref
 
 from localquant import (
+    DomainError,
     ExperimentConfig,
     Kernel,
+    RngStream,
     NoiseSetting,
     PRESETS,
     QuantileSpec,
@@ -16,7 +24,9 @@ from localquant import (
     full_grid_configs,
     parse_config,
     run_experiment,
+    sample_dataset,
     summaries_csv,
+    true_theta,
     write_summaries,
 )
 from localquant import experiments
@@ -215,3 +225,98 @@ def test_threaded_run_emits_no_warnings():
         assert warnings.filters == before
     assert 0.0 < cells[2].mean_n_eff < 10.0
     assert cells == run_experiment(low_neff, workers=1)
+
+
+def outcome(fn, *args):
+    """The bytes and shape of an array, or the type and message of the error raised."""
+    try:
+        stats = fn(*args)
+    except DomainError as exc:
+        return type(exc), str(exc)
+    return stats.shape, stats.tobytes()
+
+
+@st.composite
+def studies(draw):
+    """A small study, with chunks of 1 to 4 replicates and cells without weight at low n."""
+    methods = draw(st.sampled_from([("WQ",), ("QR",), ("QR", "WQ")]))
+    x0_points = draw(st.lists(st.floats(0.05, 0.95), min_size=1, max_size=3))
+    bandwidths = draw(st.lists(st.floats(0.005, 0.3), min_size=1, max_size=2))
+    config = ExperimentConfig(
+        model=SyntheticModel(draw(st.sampled_from(list(Signal))),
+                             NoiseSetting.from_number(draw(st.integers(1, 3)))),
+        kernel=draw(st.sampled_from(list(Kernel))),
+        bandwidths=tuple(bandwidths),
+        x0_points=tuple(x0_points),
+        p=draw(st.sampled_from([0.2, 0.5, 0.7])),
+        alpha=0.1,
+        alpha1=draw(st.sampled_from([0.0, 0.05, 0.1])),
+        n=draw(st.integers(1, 60)),
+        n_sim=draw(st.integers(1, 9)),
+        master_seed=draw(st.integers(0, 2**64 - 1)),
+        methods=methods,
+    )
+    weights_per_replicate = len(config.specs) * config.n
+    budget = draw(st.integers(1, 4 * weights_per_replicate + weights_per_replicate - 1))
+    return config, budget
+
+
+@settings(max_examples=150, deadline=None)
+@given(studies())
+def test_batched_study_matches_per_replicate_reference(study):
+    config, budget = study
+    thetas = np.array([true_theta(config.model, spec, config.p) for spec in config.specs])
+    with mock.patch.object(experiments, "_CHUNK_ELEMENTS", budget):
+        chunks = experiments._chunks(config)
+        assert [r for chunk in chunks for r in chunk] == list(range(1, config.n_sim + 1))
+        size = max(1, budget // (len(config.specs) * config.n))
+        assert [len(chunk) for chunk in chunks[:-1]] == [size] * (len(chunks) - 1)
+        got = outcome(experiments._study_stats, config, thetas)
+    assert got == outcome(ref.study_stats, config, thetas)
+
+
+CHUNKED = ExperimentConfig(
+    model=SyntheticModel(Signal.SPIKES, NoiseSetting.S1), kernel=Kernel.TRIANGULAR,
+    bandwidths=(0.1, 0.04), x0_points=(0.23, 0.47), p=0.5, alpha=0.1, alpha1=0.05,
+    n=2000, n_sim=11, master_seed=21,
+)
+
+
+def test_chunks_are_shared_by_workers():
+    # four replicates of 4 cells at n = 2000 fill a chunk: three chunks
+    assert [len(c) for c in experiments._chunks(CHUNKED)] == [4, 4, 3]
+    expected = run_experiment(CHUNKED, workers=1)
+    assert run_experiment(CHUNKED, workers=2) == expected
+    assert run_experiment(CHUNKED, workers=3) == expected
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_earliest_failure_of_all_chunks_is_raised(monkeypatch, workers):
+    # failures in replicate 2 (first chunk), cell 3, replicate 10 (last
+    # chunk), cell 0, and replicates 6 and 7 (second chunk): the first in
+    # (replicate, cell) order is raised, however the chunks finish
+    responses = {
+        rep: sample_dataset(CHUNKED.model, CHUNKED.n, RngStream(CHUNKED.master_seed, rep))
+        .responses.tobytes()
+        for rep in (2, 6, 7, 10)
+    }
+    failing = {(2, 3): "replicate 2, cell 3", (10, 0): "replicate 10, cell 0"}
+    original = experiments.wq_cells
+
+    def wq_cells(loc, q):
+        batch = original(loc, q)
+        for r, resp in enumerate(loc.responses):
+            for (rep, k), message in failing.items():
+                if resp.tobytes() == responses[rep]:
+                    batch.errors[r, k] = DomainError(message)
+        return batch
+
+    monkeypatch.setattr(experiments, "wq_cells", wq_cells)
+    with pytest.raises(DomainError, match="replicate 2, cell 3"):
+        run_experiment(CHUNKED, workers=workers)
+    del failing[(2, 3)]
+    with pytest.raises(DomainError, match="replicate 10, cell 0"):
+        run_experiment(CHUNKED, workers=workers)
+    failing.update({(6, 3): "replicate 6, cell 3", (7, 0): "replicate 7, cell 0"})
+    with pytest.raises(DomainError, match="replicate 6, cell 3"):
+        run_experiment(CHUNKED, workers=workers)

@@ -160,6 +160,20 @@ def test_dataset_stores_unsigned_zero():
     assert not np.signbit(data.responses).any()
 
 
+@pytest.mark.parametrize("normalization", [
+    ([1.0, 2.0, 3.0], [1.0]),
+    ([1.0], [1.0, 2.0]),
+    ([1.0],),
+    ([1.0], [1.0], [1.0]),
+])
+def test_dataset_normalization_has_one_entry_per_covariate(normalization):
+    with pytest.raises(ValueError, match="one per covariate"):
+        Dataset([[1.0], [2.0]], [1.0, 2.0], normalization=normalization)
+    means, sds = Dataset([[1.0, 5.0], [2.0, 6.0]], [1.0, 2.0],
+                         normalization=([1.5, 5.5], [0.5, 0.5])).normalization
+    assert means.tolist() == [1.5, 5.5] and sds.tolist() == [0.5, 0.5]
+
+
 VALUES = st.sampled_from([0.0, -0.0, 0.5, -1.5, math.nan, math.inf, -math.inf])
 
 
@@ -187,7 +201,9 @@ def test_stored_arrays_are_read_only_with_one_sign_of_zero(n, data):
     w = np.where(v < 0.0, -v, v)  # nonnegative, -0.0 and NaN kept
     bw = np.where(b == 0.0, 1.0, np.abs(b))  # positive or not finite
     for make, inputs in (
-        (lambda: Dataset(x[:, None], y, normalization=(mean, sd)), (x, y, mean, sd)),
+        # n equal covariate columns, so (mean, sd) has one entry per covariate
+        (lambda: Dataset(np.repeat(x[:, None], n, axis=1), y, normalization=(mean, sd)),
+         (x, y, mean, sd)),
         (lambda: WeightedSample(y, w), (y, w)),
         (lambda: LocalizationSpec(Kernel.TRIANGULAR, c, bw), (c, bw)),
     ):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localquant import RngStream
 from localquant import rng as rng_mod
@@ -93,3 +95,23 @@ def test_uniforms_at_rejects_bad_indices():
         RngStream(1).uniforms_at([3, -1])
     with pytest.raises(ValueError):
         RngStream(1).uniforms_at([0.5])
+
+
+WIDE_INTS = st.one_of(st.integers(-(2**64), 2**65), st.integers(2**63 - 2, 2**63 + 2),
+                      st.integers(2**64 - 2, 2**64 + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(WIDE_INTS, st.lists(WIDE_INTS, min_size=1, max_size=5),
+       st.lists(WIDE_INTS, min_size=1, max_size=4))
+def test_stream_keys_match_stream_objects(seed, ids, tags):
+    keys = rng_mod.stream_keys(seed, ids)
+    assert keys.dtype == np.uint64
+    assert keys.tolist() == [RngStream(seed, i).key for i in ids]
+    sub = rng_mod.substream_keys(seed, keys, tags)
+    assert sub.shape == (len(ids), len(tags))
+    assert sub.tolist() == [[RngStream(seed, i).substream(t).key for t in tags] for i in ids]
+    # draws read from a key array are the stream's own draws
+    assert rng_mod.stream_uniforms(sub, [0, 3]).tobytes() == np.array(
+        [[RngStream(seed, i).substream(t).uniforms_at([0, 3]) for t in tags] for i in ids]
+    ).tobytes()

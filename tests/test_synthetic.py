@@ -17,11 +17,13 @@ from localquant import (
     localization_weights,
     mixture_weight,
     sample_dataset,
+    sample_replicates,
     signal_eval,
     true_q_cdf,
     true_theta,
     weighted_cdf,
 )
+from localquant.rng import stream_keys
 
 SPIKES = SyntheticModel(Signal.SPIKES, NoiseSetting.S1)
 SPIKES_SPEC = LocalizationSpec(Kernel.TRIANGULAR, [0.47], [0.04])
@@ -151,6 +153,20 @@ def test_sample_dataset_basics():
     a = sample_dataset(model, 50, RngStream(4, 2))
     b = sample_dataset(model, 50, RngStream(4, 2))
     assert np.array_equal(a.responses, b.responses)
+
+
+@pytest.mark.parametrize("signal", list(Signal))
+def test_sample_dataset_is_one_row_of_sample_replicates(signal):
+    model = SyntheticModel(signal, NoiseSetting.S2)
+    ids = [1, 8, 2**63 + 5]
+    reps = sample_replicates(model, 37, 12, stream_keys(12, ids))
+    assert reps.covariates.shape == (3, 37, 1) and reps.responses.shape == (3, 37)
+    for r, i in enumerate(ids):
+        data = sample_dataset(model, 37, RngStream(12, i))
+        assert data.covariates.tobytes() == reps.covariates[r].tobytes()
+        assert data.responses.tobytes() == reps.responses[r].tobytes()
+    with pytest.raises(ValueError):
+        sample_replicates(model, 0, 12, stream_keys(12, ids))
 
 
 def test_sample_dataset_moments():
