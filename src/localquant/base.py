@@ -64,10 +64,10 @@ class Dataset:
             raise ValueError("covariates and responses must have the same number of rows")
         if self.responses.shape[0] < 1:
             raise ValueError("dataset must contain at least one row")
-        if not self.x_names:
-            object.__setattr__(
-                self, "x_names", tuple(f"x{j}" for j in range(self.covariates.shape[1]))
-            )
+        names = tuple(self.x_names or ()) or tuple(f"x{j}" for j in range(self.dim))
+        if len(names) != self.dim:
+            raise ValueError(f"x_names must give one name per covariate ({self.dim}), got {names}")
+        object.__setattr__(self, "x_names", names)
 
     @property
     def n(self) -> int:

@@ -14,6 +14,7 @@ errors, 3 data errors, 4 when every localization weight is zero.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -35,9 +36,9 @@ from .errors import (
     ParseError,
 )
 from .experiments import PRESETS, parse_config, run_experiment, write_summaries
-from .kernels import Kernel, LocalizationSpec
+from .kernels import Kernel, LocalizationSpec, localize
 from .orderstat import df_quantile_ci
-from .qr import qr_interval
+from .qr import qr_cells
 from .rng import RngStream
 from .synthetic import (
     NoiseSetting,
@@ -47,7 +48,7 @@ from .synthetic import (
     mixture_weight,
     true_theta,
 )
-from .wq import wq_interval
+from .wq import _warn_low_neff, wq_cells
 
 _EXIT_USAGE = 2
 _EXIT_DATA = 3
@@ -316,15 +317,17 @@ def _cmd_ci(args, parser: argparse.ArgumentParser) -> int:
 
     data = load_csv(args.data, x_cols, args.y_col, normalize=args.normalize)
 
+    # one localization per query, read by both methods: the results of
+    # wq_interval and qr_interval on the same spec, WQ first
     records = []
     for center, bw, spec in cells:
+        loc = localize(data, [spec])
         for method in methods:
             if method == "wq":
-                res = wq_interval(data, spec, q)
-            elif method == "qr":
-                res = qr_interval(data, spec, q, RngStream(args.seed))
+                res = wq_cells(loc, q).result(0)
+                _warn_low_neff(res.n_eff)
             else:
-                continue
+                res = qr_cells(loc, q, [RngStream(args.seed)]).result(0)
             records.append(_interval_record(res, center, bw, q))
     if "dfq" in methods:
         res = df_quantile_ci(data.responses, q.p, q.alpha1, q.alpha2)
@@ -350,7 +353,8 @@ def _check_out(path, parser: argparse.ArgumentParser) -> None:
 
 
 def _open_out(path):
-    return open(path, "w", newline="") if path else sys.stdout
+    """A context manager giving the `--out` file, or stdout, which it leaves open."""
+    return open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout)
 
 
 def _cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
@@ -366,12 +370,8 @@ def _cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
         except (OSError, ValueError) as exc:
             parser.error(str(exc))
     summaries = run_experiment(config, workers=args.workers)
-    out = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         write_summaries(out, [(config, summaries)])
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 
@@ -401,15 +401,11 @@ def _cmd_target(args, parser: argparse.ArgumentParser) -> int:
         thetas = [true_theta(model, LocalizationSpec(kern, [x0], [h]), p) for x0 in grid]
     except (ValueError, DomainError) as exc:
         parser.error(f"--x0-grid/--h/--p: {exc}")
-    out = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         writer = csv.writer(out)
         writer.writerow(["signal", "setting", "kernel", "p", "h", "x0", "theta"])
         for x0, theta in zip(grid, thetas):
             writer.writerow([signal, setting, kernel, repr(p), repr(h), repr(x0), repr(theta)])
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 

@@ -264,13 +264,16 @@ def _conditional_cdf(model: SyntheticModel, x: np.ndarray):
     return lambda y: ndtr((y - f) / s)
 
 
-def _kernel_weights(spec: LocalizationSpec, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Quadrature weights times the kernel at the nodes, normalized to sum to 1."""
+def _localized_cdf(model: SyntheticModel, spec: LocalizationSpec, x: np.ndarray, w: np.ndarray):
+    """y -> localized response CDF by the quadrature rule (x, w): P(Y <= y | X = x)
+    summed with the weights w times the kernel at x, normalized to sum to 1."""
     k = spec.kernel.evaluate((float(spec.center[0]) - x) / float(spec.bandwidths[0]))
     mass = _panel_sum(k, w)
     if mass <= 0.0:
         raise DomainError("kernel mass on [0, 1] is zero")
-    return w * k / mass
+    kw = w * k / mass
+    cdf = _conditional_cdf(model, x)
+    return lambda y: _panel_sum(cdf(y), kw)
 
 
 def _breakpoints(model: SyntheticModel, spec: LocalizationSpec) -> tuple[float, ...]:
@@ -287,10 +290,7 @@ def _require_univariate(spec: LocalizationSpec):
 def _q_cdf_factory(model: SyntheticModel, spec: LocalizationSpec):
     """Localized response CDF y -> Q_Y(y) with the normalized kernel weights precomputed."""
     _require_univariate(spec)
-    x, w = _panel_rule(*_window(spec), _breakpoints(model, spec))
-    kw = _kernel_weights(spec, x, w)
-    cdf = _conditional_cdf(model, x)
-    return lambda y: _panel_sum(cdf(y), kw)
+    return _localized_cdf(model, spec, *_panel_rule(*_window(spec), _breakpoints(model, spec)))
 
 
 def true_q_cdf(model: SyntheticModel, spec: LocalizationSpec, y: float) -> float:
@@ -380,15 +380,8 @@ def indistinguishable_pair(
     pts = _breakpoints(model, spec) + (x0 - h0, x0 + h0)
     x_core, w_core = _panel_rule(x0 - h0, x0 + h0, pts)
     left, right = _panel_rule(x0 - h, x0 - h0, pts), _panel_rule(x0 + h0, x0 + h, pts)
-    x_ring, w_ring = np.concatenate([left[0], right[0]]), np.concatenate([left[1], right[1]])
-    cdf_core, cdf_ring = _conditional_cdf(model, x_core), _conditional_cdf(model, x_ring)
-    k_core, k_ring = _kernel_weights(spec, x_core, w_core), _kernel_weights(spec, x_ring, w_ring)
-
-    def f1(y):
-        return _panel_sum(cdf_core(y), k_core)
-
-    def f2(y):
-        return _panel_sum(cdf_ring(y), k_ring)
+    f1 = _localized_cdf(model, spec, x_core, w_core)
+    f2 = _localized_cdf(model, spec, *(np.concatenate(pair) for pair in zip(left, right)))
 
     # modified CDF: w * F1(y) 1{y >= theta_star} + (1 - w) * F2(y)
     at_star = w * f1(theta_star) + (1.0 - w) * f2(theta_star)
@@ -410,4 +403,4 @@ def indistinguishable_pair(
         theta_prime = _bisect(g, lo, hi, g_lo)
 
     # TV distance: mass moved, integrated without kernel reweighting
-    return theta_prime, _panel_sum(cdf_core(theta_star), w_core)
+    return theta_prime, _panel_sum(_conditional_cdf(model, x_core)(theta_star), w_core)

@@ -118,11 +118,17 @@ def wq_interval(data: Dataset, spec: LocalizationSpec, q: QuantileSpec) -> Inter
     where the asymptotic calibration is not trustworthy.
     """
     res = wq_cells(localize(data, [spec]), q).result(0)
-    if res.n_eff < NEFF_GUIDELINE:
+    _warn_low_neff(res.n_eff)
+    return res
+
+
+def _warn_low_neff(n_eff: float) -> None:
+    """Emit LowEffectiveSampleSizeWarning, attributed to the caller of our
+    caller, when a WQ interval has n_eff below NEFF_GUIDELINE."""
+    if n_eff < NEFF_GUIDELINE:
         warnings.warn(
-            f"effective sample size {res.n_eff:.2f} < {NEFF_GUIDELINE:g}; "
+            f"effective sample size {n_eff:.2f} < {NEFF_GUIDELINE:g}; "
             "coverage of the WQ interval is not reliable",
             LowEffectiveSampleSizeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return res

@@ -21,12 +21,14 @@ from localquant import (
     DomainError,
     Kernel,
     LocalizationSpec,
+    LowEffectiveSampleSizeWarning,
     MissingColumn,
     ParseError,
     QuantileSpec,
     RngStream,
     df_quantile_ci,
     localization_weights,
+    localize,
     qr_interval,
     wq_interval,
 )
@@ -433,6 +435,66 @@ def test_ci_matches_library_bit_for_bit(sample_csv, capsys):
     assert parse_endpoint(records[1]["upper"]) == qr.upper
     assert records[1]["accepted"] == qr.accepted
     assert records[0]["p"] == 0.4 and records[0]["alpha"] == 0.1
+
+
+def test_ci_localizes_each_query_once(sample_csv, capsys, monkeypatch):
+    path, x, y = sample_csv
+    calls = []
+
+    def counted(data, specs):
+        calls.append(len(specs))
+        return localize(data, specs)
+
+    # every module that binds the name, so no call goes uncounted
+    for module in (cli, localquant.wq, localquant.qr):
+        monkeypatch.setattr(module, "localize", counted, raising=False)
+    data = Dataset(x[:, None], y)
+    q = QuantileSpec(0.5, 0.1, 0.05)
+    bandwidths = [0.02, 0.1, 0.3]  # the first cell has n_eff < 10
+    for method in ("both", "wq", "qr"):
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LowEffectiveSampleSizeWarning)
+            code, out, _ = run_cli(capsys, [
+                "ci", "--data", path, "--x-cols", "x", "--y-col", "y", "--x0", "0.5",
+                *(arg for h in bandwidths for arg in ("--h", str(h))),
+                "--method", method, "--seed", "7",
+            ])
+            assert code == 0
+            assert calls == [1, 1, 1]
+            records = [json.loads(line) for line in out.strip().splitlines()]
+            names = ["wq", "qr"] if method == "both" else [method]
+            expected = [
+                (h, wq_interval(data, spec, q) if name == "wq"
+                 else qr_interval(data, spec, q, RngStream(7)))
+                for h in bandwidths
+                for spec in [LocalizationSpec(Kernel.TRIANGULAR, [0.5], [h])]
+                for name in names
+            ]
+        assert len(records) == len(expected)
+        for rec, (h, res) in zip(records, expected):
+            assert (rec["h"], rec["method"]) == ([h], res.method)
+            assert parse_endpoint(rec["lower"]) == res.lower
+            assert parse_endpoint(rec["upper"]) == res.upper
+            assert rec["n_eff"] == res.n_eff
+            assert rec["accepted"] == res.accepted
+        assert expected[0][1].n_eff < 10
+
+
+@pytest.mark.parametrize("method, warned", [("both", 1), ("wq", 1), ("qr", 0)])
+def test_ci_warns_on_low_effective_sample_size(tmp_path, capsys, method, warned):
+    path = tmp_path / "four.csv"
+    write_csv(path, ["x", "y"], [[0.5, 1.0], [0.51, 2.0], [0.9, 3.0], [0.95, 4.0]])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = run_cli(capsys, [
+            "ci", "--data", str(path), "--x-cols", "x", "--y-col", "y",
+            "--x0", "0.5", "--h", "0.1", "--method", method, "--seed", "1",
+        ])
+    assert code == 0 and out
+    low = [w for w in caught if issubclass(w.category, LowEffectiveSampleSizeWarning)]
+    assert len(low) == warned
+    assert all("effective sample size 1.99 < 10" in str(w.message) for w in low)
 
 
 def test_ci_json_round_trip_infinite(tmp_path, capsys):

@@ -174,6 +174,15 @@ def test_dataset_normalization_has_one_entry_per_covariate(normalization):
     assert means.tolist() == [1.5, 5.5] and sds.tolist() == [0.5, 0.5]
 
 
+@pytest.mark.parametrize("x_names", [("a", "b", "c"), "ab", ["a", "b"]])
+def test_dataset_x_names_has_one_name_per_covariate(x_names):
+    with pytest.raises(ValueError, match="one name per covariate"):
+        Dataset([[1.0], [2.0]], [1.0, 2.0], x_names=x_names)
+    two = Dataset([[1.0, 5.0], [2.0, 6.0]], [1.0, 2.0], x_names=x_names[:2])
+    assert two.x_names == ("a", "b")
+    assert Dataset([[1.0, 5.0], [2.0, 6.0]], [1.0, 2.0]).x_names == ("x0", "x1")
+
+
 VALUES = st.sampled_from([0.0, -0.0, 0.5, -1.5, math.nan, math.inf, -math.inf])
 
 
