@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -78,15 +79,11 @@ class Dataset:
         return self.covariates.shape[1]
 
     @functools.cached_property
-    def first_column_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """Stable argsort of covariate column 0, and that column in sorted order.
-
-        Built on first use and kept for the life of the dataset, so a kernel
-        window on column 0 is found by binary search instead of a pass over
-        every row.
-        """
-        order = np.argsort(self.covariates[:, 0], kind="stable")
-        return _read_only(order, self.covariates[order, 0])
+    def first_column_index(self) -> np.ndarray:
+        """Stable argsort of covariate column 0 (read-only), built on first use
+        and kept for the life of the dataset: `localize` binary-searches
+        column 0 with it as `sorter` instead of passing over every row."""
+        return _read_only(np.argsort(self.covariates[:, 0], kind="stable"))[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,10 +198,10 @@ class IntervalBatch:
     details: dict
 
     def result(self, k) -> IntervalResult:
-        """Cell k (an index into the cell shape) as an IntervalResult; raises
-        the error of a failed cell."""
+        """Cell k (an index into the cell shape) as an IntervalResult; a failed
+        cell raises a copy of its stored error, which never gets a traceback."""
         if self.errors[k] is not None:
-            raise self.errors[k]
+            raise copy.copy(self.errors[k])
         extra = {name: values[k].item() for name, values in self.details.items()}
         return IntervalResult(
             float(self.lower[k]), float(self.upper[k]), self.method, float(self.n_eff[k]), **extra

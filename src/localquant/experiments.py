@@ -10,6 +10,7 @@ how the replicates are chunked or how many worker threads share the chunks.
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import math
@@ -148,7 +149,7 @@ def _chunk_results(config: ExperimentConfig, reps: range, thetas: np.ndarray) ->
             batch.n_eff,
         ), 1, 2)
     if failures:
-        raise min(failures, key=lambda f: f[:2])[2]
+        raise copy.copy(min(failures, key=lambda f: f[:2])[2])
     return out
 
 

@@ -144,12 +144,12 @@ def localize(data: Dataset | Replicates, specs) -> Localization:
     The specs share one kernel. On a Dataset the kernel is evaluated only on
     the rows whose first covariate lies in one span, from the lowest lower
     end to the highest upper end of the cells' dimension-0 support windows,
-    found by two binary searches in `data.first_column_index`; every other
-    row has a zero factor in each cell's product kernel. Replicates are
-    evaluated on every row. Each cell is evaluated with the same elementwise
-    operations as a single cell, and a row outside a cell's own window has
-    |u| beyond the support radius in floating point (or u overflows to
-    infinity), so it gets exactly 0 there.
+    found by one binary search of column 0 in `data.first_column_index`
+    order; every other row has a zero factor in each cell's product kernel.
+    Replicates are evaluated on every row. Each cell is evaluated with the
+    same elementwise operations as a single cell, and a row outside a cell's
+    own window has |u| beyond the support radius in floating point (or u
+    overflows to infinity), so it gets exactly 0 there.
     """
     specs = list(specs)
     if not specs:
@@ -165,7 +165,7 @@ def localize(data: Dataset | Replicates, specs) -> Localization:
     centers = np.array([spec.center for spec in specs])
     bandwidths = np.array([spec.bandwidths for spec in specs])
     if isinstance(data, Dataset):
-        order, column = data.first_column_index
+        order = data.first_column_index
         center = centers[:, 0]
         half = kernel.support_radius * bandwidths[:, 0]
         # the relative margin dwarfs the rounding of (center - x) / h and of the
@@ -173,8 +173,8 @@ def localize(data: Dataset | Replicates, specs) -> Localization:
         # |u| > support_radius in floating point too; the floor keeps the
         # margin a normal number when center and half-width are tiny
         margin = np.maximum(_WINDOW_MARGIN * (np.abs(center) + half), _TINY_NORMAL)
-        lo = np.searchsorted(column, np.min(center - half - margin), "right")
-        hi = np.searchsorted(column, np.max(center + half + margin), "right")
+        ends = (np.min(center - half - margin), np.max(center + half + margin))
+        lo, hi = np.searchsorted(data.covariates[:, 0], ends, "right", sorter=order)
         span = order[lo:hi]
     else:
         span = slice(None)

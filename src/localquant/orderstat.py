@@ -104,10 +104,13 @@ def quantile_ci_indices(
     l_hat is the largest i in [0, n] with P(B(n,p) < I_{i,max}) <= alpha1,
     u_hat the smallest j in [1, n+1] with P(B(n,p) >= I_{j,min}) <= alpha2,
     where the sentinel indices I_{0,max} = 0 and I_{n+1,min} = n+1 always
-    qualify. l_hat = 0 / u_hat = n+1 signal infinite endpoints.
+    qualify. l_hat = 0 / u_hat = n+1 signal infinite endpoints. `ties` must
+    have n entries.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if ties.i_min.shape != (n,):
+        raise ValueError(f"ties must have n = {n} entries, got {ties.i_min.shape[0]}")
     l_hat, u_hat = ci_ranks(ties.i_min[None, :], ties.i_max[None, :], [n], p, alpha1, alpha2)
     return int(l_hat[0]), int(u_hat[0])
 

@@ -10,6 +10,7 @@ values.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,12 @@ class WeightedSample:
             raise ValueError("a weighted sample needs at least one row")
         if np.any(w < 0.0):
             raise ValueError("weights must be nonnegative")
-        object.__setattr__(self, "weight_sum", float(np.sum(w)))
+        with np.errstate(over="ignore"):
+            total = float(np.sum(w))
+        # (sum w)^2 finite keeps sum w^2 and every helper's squared sum finite
+        if not math.isfinite(total * total):
+            raise ValueError("the square of the weight sum must be finite (sum below 2**512)")
+        object.__setattr__(self, "weight_sum", total)
         object.__setattr__(self, "responses", resp)
         object.__setattr__(self, "weights", w)
 
@@ -98,7 +104,9 @@ def sorted_lookup(resp: np.ndarray, cum: np.ndarray, levels) -> np.ndarray:
 
 
 def weighted_cdf(ws: WeightedSample, y: float) -> float:
-    """Value of the reweighted empirical CDF at y."""
+    """Value of the reweighted empirical CDF at y; NaN raises DomainError."""
+    if math.isnan(y):
+        raise DomainError("y cannot be NaN")
     resp, cum = ws.sorted_cdf
     idx = int(np.searchsorted(resp, y, side="right"))
     return 0.0 if idx == 0 else float(cum[idx - 1])

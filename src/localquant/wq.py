@@ -49,8 +49,11 @@ def sigma_hat_p(ws: WeightedSample, p: float, theta_tilde: float) -> float:
 
     Returns sqrt of [n^-1 sum w_i^2 (1{y_i <= theta_tilde} - p)^2] divided by
     [n^-1 sum w_i]^2, with n the raw row count including zero-weight rows.
-    Raises DomainError when the squared mean weight underflows to zero.
+    Raises DomainError when theta_tilde is NaN or the squared mean weight
+    underflows to zero.
     """
+    if math.isnan(theta_tilde):
+        raise DomainError("theta_tilde cannot be NaN")
     if ws.weight_sum <= 0.0:
         raise AllWeightsZero("all localization weights are zero")
     sigma = _sigma_rows(ws.weights[None, :], [ws.weight_sum], ws.responses, p, [theta_tilde])[0]

@@ -33,12 +33,11 @@ _TINY_LEVEL = np.nextafter(0.0, 1.0)
 
 def weights(data, spec):
     """Kernel weights of every row, evaluated inside the column-0 window."""
-    order, column = data.first_column_index
     center = float(spec.center[0])
     half = spec.kernel.support_radius * float(spec.bandwidths[0])
     margin = max(_WINDOW_MARGIN * (abs(center) + half), _TINY_NORMAL)
-    lo, hi = np.searchsorted(column, (center - half - margin, center + half + margin), "right")
-    rows = order[lo:hi]
+    x = data.covariates[:, 0]
+    rows = np.flatnonzero((x > center - half - margin) & (x <= center + half + margin))
     u = (spec.center[None, :] - data.covariates[rows]) / spec.bandwidths[None, :]
     local = np.prod(spec.kernel.evaluate(u), axis=1)
     local[local < _WEIGHT_FLOOR] = 0.0

@@ -10,6 +10,7 @@ import io
 import math
 import pathlib
 import sys
+import traceback
 import warnings
 
 import numpy as np
@@ -29,12 +30,17 @@ from localquant import (
     Replicates,
     RngStream,
     TieIndices,
+    WeightedSample,
+    df_quantile_ci,
+    localization_weights,
     localize,
     qr_cells,
     qr_interval,
     quantile_ci_indices,
     run_experiment,
     write_summaries,
+    weighted_cdf,
+    weighted_quantile,
     wq_cells,
     wq_interval,
 )
@@ -301,3 +307,125 @@ def test_preset_csv_matches_golden_file():
     write_summaries(buf, [(PRESETS["quick-spikes-s1"], run_experiment(PRESETS["quick-spikes-s1"]))])
     with open(GOLDEN, newline="", encoding="utf-8") as fh:
         assert buf.getvalue() == fh.read()
+
+
+def caught(call):
+    """The LocalQuantError that call() raises."""
+    try:
+        call()
+    except (AllWeightsZero, DomainError) as exc:
+        return exc
+    raise AssertionError("no error raised")
+
+
+def test_failed_cell_raises_a_fresh_error():
+    # a caller that retries a failed cell must not grow the stored error's
+    # traceback: each raise is a new exception of the same type and message
+    d = 13
+    tiny = Dataset(np.full((1, d), -(1.0 - 2.0**-53)), [1.0])  # weights square to 0
+    q = QuantileSpec(0.5, 0.1, 0.05)
+    empty = localize(tiny, [LocalizationSpec(Kernel.TRIANGULAR, np.full(d, 5.0), np.ones(d))])
+    underflow = localize(tiny, [LocalizationSpec(Kernel.TRIANGULAR, np.zeros(d), np.ones(d))])
+    for loc, cells in ((empty, lambda: wq_cells(empty, q)),
+                       (underflow, lambda: wq_cells(underflow, q)),
+                       (underflow, lambda: qr_cells(underflow, q, [RngStream(2)]))):
+        first = caught(lambda: cells().result(0))
+        for _ in range(999):
+            last = caught(lambda: cells().result(0))
+        assert len(traceback.extract_tb(last.__traceback__)) == len(
+            traceback.extract_tb(first.__traceback__))
+        assert type(last) is type(loc.errors[0]) and str(last) == str(loc.errors[0])
+        assert last is not loc.errors[0] and loc.errors[0].__traceback__ is None
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def batch_bits(batch):
+    """Every field of a batch, as bytes, and the types of its errors."""
+    return ([bits(getattr(batch, name)) for name in ("lower", "upper", "n_eff")]
+            + [bits(batch.details[name]) for name in sorted(batch.details)]
+            + [type(e) for e in batch.errors])
+
+
+def normal_range(values):
+    # a power-of-two factor is exact on normal numbers; values far below 1 lose
+    # bits as subnormals once scaled down, so they are set to 0.0
+    return np.where(np.abs(values) < 2.0**-900, 0.0, values)
+
+
+def engine_batches(data, specs, q, seed):
+    loc = localize(data, specs)
+    streams = [RngStream(seed).substream(k) for k in range(len(specs))]
+    return wq_cells(loc, q), qr_cells(loc, q, streams)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cases(), st.integers(-20, 20))
+def test_scaling_responses_by_a_power_of_two_scales_every_endpoint(case, k):
+    data, specs, q, seed = case
+    y = normal_range(data.responses)
+    base = Dataset(data.covariates, y)
+    scaled = Dataset(data.covariates, y * 2.0**k)
+    for one, other in zip(engine_batches(base, specs, q, seed),
+                          engine_batches(scaled, specs, q, seed)):
+        assert bits(other.lower) == bits(one.lower * 2.0**k)
+        assert bits(other.upper) == bits(one.upper * 2.0**k)
+        # n_eff, the levels p_hat, sigma_hat and the accepted count
+        assert batch_bits(other)[2:] == batch_bits(one)[2:]
+    dfq, dfq_scaled = (df_quantile_ci(ys, q.p, q.alpha1, q.alpha2) for ys in (y, y * 2.0**k))
+    assert bits([dfq_scaled.lower, dfq_scaled.upper]) == bits([dfq.lower * 2.0**k,
+                                                               dfq.upper * 2.0**k])
+    assert dfq_scaled.n_eff == dfq.n_eff
+
+
+@settings(max_examples=200, deadline=None)
+@given(cases(), st.integers(-20, 20))
+def test_scaling_covariates_and_bandwidths_keeps_every_interval(case, k):
+    # u = (c - x) / h is the same bits when c, x and h carry one power-of-two factor
+    data, specs, q, seed = case
+
+    def scaled(factor):
+        cells = [LocalizationSpec(s.kernel, normal_range(s.center) * factor,
+                                  s.bandwidths * factor) for s in specs]
+        return Dataset(normal_range(data.covariates) * factor, data.responses), cells
+
+    for one, other in zip(engine_batches(*scaled(1.0), q, seed),
+                          engine_batches(*scaled(2.0**k), q, seed)):
+        assert batch_bits(other) == batch_bits(one)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cases(), st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=300))
+def test_rows_appended_outside_every_window_keep_qr(case, extra):
+    # row i keeps draw i and every appended row has weight 0, so QR keeps its
+    # accepted rows; n_eff's sums over more zeros may round differently
+    data, specs, q, seed = case
+    far = np.full((len(extra), data.dim), 100.0)
+    longer = Dataset(np.vstack([data.covariates, far]), np.concatenate([data.responses, extra]))
+    _, one = engine_batches(data, specs, q, seed)
+    _, other = engine_batches(longer, specs, q, seed)
+    assert batch_bits(other)[:2] + batch_bits(other)[3:] == (
+        batch_bits(one)[:2] + batch_bits(one)[3:])
+    np.testing.assert_allclose(other.n_eff, one.n_eff, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cases(), st.integers(-20, 20))
+def test_scaling_weights_by_a_power_of_two_keeps_quantiles_and_cdf(case, j):
+    # kernel weights are 0 or at least 1e-300, so w * 2**j stays a normal number
+    data, specs, q, _ = case
+    ws = localization_weights(data, specs[0])
+    scaled = WeightedSample(ws.responses, ws.weights * 2.0**j)
+    if ws.weight_sum <= 0.0:
+        with pytest.raises(AllWeightsZero):
+            weighted_quantile(scaled, q.p)
+        return
+    ys = np.concatenate([ws.responses, ws.responses + 0.25, [-math.inf, math.inf]])
+
+    def quantiles_and_cdf(sample):
+        return bits([weighted_quantile(sample, p) for p in (q.p, 0.25, 1.0, 1e-300)]
+                    + [weighted_cdf(sample, y) for y in ys])
+
+    assert quantiles_and_cdf(scaled) == quantiles_and_cdf(ws)

@@ -320,3 +320,22 @@ def test_earliest_failure_of_all_chunks_is_raised(monkeypatch, workers):
     failing.update({(6, 3): "replicate 6, cell 3", (7, 0): "replicate 7, cell 0"})
     with pytest.raises(DomainError, match="replicate 6, cell 3"):
         run_experiment(CHUNKED, workers=workers)
+
+
+def test_study_failure_is_raised_as_a_fresh_error(monkeypatch):
+    # the stored error of a failed cell is never raised itself, so it never
+    # collects a traceback
+    stored = []
+    original = experiments.wq_cells
+
+    def wq_cells(loc, q):
+        batch = original(loc, q)
+        batch.errors[0, 0] = DomainError("stored")
+        stored.append(batch.errors[0, 0])
+        return batch
+
+    monkeypatch.setattr(experiments, "wq_cells", wq_cells)
+    with pytest.raises(DomainError, match="stored") as exc:
+        run_experiment(TINY)
+    assert stored and exc.value is not stored[0]
+    assert all(e.__traceback__ is None for e in stored)

@@ -85,6 +85,15 @@ def test_indices_five_distinct():
     assert quantile_ci_indices(5, t, 0.5, 0.05, 0.05) == (1, 5)
 
 
+def test_indices_reject_ties_of_another_size():
+    # ties of 10 values gave (0, 4) for n = 3 and (10, 41) for n = 40
+    t = TieIndices.from_sorted(np.arange(10.0))
+    for n in (3, 40):
+        with pytest.raises(ValueError, match="10"):
+            quantile_ci_indices(n, t, 0.5, 0.05, 0.05)
+    assert quantile_ci_indices(10, t, 0.5, 0.05, 0.05) == (2, 9)
+
+
 def test_indices_n4_whole_line():
     t = TieIndices.from_sorted(np.arange(4.0))
     assert quantile_ci_indices(4, t, 0.5, 0.05, 0.05) == (0, 5)

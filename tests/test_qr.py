@@ -195,7 +195,7 @@ def stored_arrays(make, inputs):
         return []
     obj = make()
     if isinstance(obj, Dataset):
-        return [obj.covariates, obj.responses, *obj.normalization, *obj.first_column_index]
+        return [obj.covariates, obj.responses, *obj.normalization, obj.first_column_index]
     if isinstance(obj, WeightedSample):
         return [obj.responses, obj.weights, *(obj.sorted_cdf if obj.weight_sum > 0.0 else ())]
     return [obj.center, obj.bandwidths]

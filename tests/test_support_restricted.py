@@ -251,6 +251,6 @@ def test_index_is_built_on_first_query(tmp_path):
     spec = LocalizationSpec(Kernel.UNIFORM, [0.2], [0.5])
     with pytest.warns(LowEffectiveSampleSizeWarning):
         wq_interval(data, spec, QuantileSpec(0.5, 0.1, 0.05))
-    order, values = data.first_column_index
+    order = data.first_column_index
     assert order.tolist() == [1, 2, 0]
-    assert values.tolist() == [0.1, 0.2, 0.3]
+    assert data.covariates[order, 0].tolist() == [0.1, 0.2, 0.3]

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from localquant import (
     AllWeightsZero,
+    DomainError,
     WeightedSample,
     effective_sample_size,
     weighted_cdf,
@@ -187,3 +189,30 @@ def test_weight_and_level_validation():
         WeightedSample([1.0, 2.0], [1.0, -0.5])
     with pytest.raises(ValueError):
         weighted_quantile(WeightedSample([1.0], [1.0]), 0.0)
+
+
+def test_weight_sum_that_overflows_is_rejected():
+    # equal weights put the 0.9 quantile at 3.0; an overflowing sum gave 2.0
+    # and a NaN CDF
+    with pytest.raises(ValueError, match="square of the weight sum"):
+        WeightedSample([1.0, 2.0, 3.0], [1e308] * 3)
+    ws = WeightedSample([1.0, 2.0, 3.0], [2.0**510] * 3)
+    assert weighted_quantile(ws, 0.9) == 3.0
+    assert weighted_cdf(ws, 2.5) == 2.0 / 3.0
+
+
+def test_weight_sum_whose_square_overflows_is_rejected():
+    # the sum 2e160 is finite, but n_eff and sigma_hat square it: OverflowError
+    with pytest.raises(ValueError, match="square of the weight sum"):
+        WeightedSample([1.0, 2.0], [1e160, 1e160])
+    # the largest sums below the bound 2**512 give finite results, no warnings
+    below = float(np.nextafter(2.0**511, 0.0))
+    ws = WeightedSample([1.0, 2.0], [below, below])
+    assert effective_sample_size(ws) == 2.0
+    assert math.isfinite(weighted_cdf(ws, 1.5))
+
+
+def test_cdf_at_nan_is_a_domain_error():
+    # every comparison with NaN is false, so the search put NaN above every response
+    with pytest.raises(DomainError, match="NaN"):
+        weighted_cdf(WeightedSample([1.0, 2.0], [1.0, 1.0]), math.nan)

@@ -184,6 +184,15 @@ def test_sigma_mean_weight_underflow():
         sigma_hat_p(ws, 0.5, 0.0)
 
 
+def test_sigma_at_nan_is_a_domain_error():
+    ws = WeightedSample([1.0, 2.0], [1.0, 1.0])
+    with pytest.raises(DomainError, match="NaN"):
+        sigma_hat_p(ws, 0.5, math.nan)
+    # the largest weight sum below the bound 2**512 keeps sigma_hat finite
+    below = float(np.nextafter(2.0**511, 0.0))
+    assert math.isfinite(sigma_hat_p(WeightedSample([1.0, 2.0], [below, below]), 0.5, 1.5))
+
+
 def test_scale_invariant_endpoints():
     # scaling every weight by c > 0 must reproduce the same endpoint values
     # when the interval is rebuilt from its components
