@@ -11,6 +11,7 @@ or trivial intervals when a tail budget is too small.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,7 +36,7 @@ class TieIndices:
         n = values.shape[0]
         if n < 1:
             raise ValueError("need at least one value")
-        if np.any(values[1:] < values[:-1]):
+        if not np.all(values[1:] >= values[:-1]):  # NaN fails too
             raise ValueError("values must be sorted ascending")
         # starts[k] is True where a run of equal values begins
         starts = np.ones(n, dtype=bool)
@@ -82,8 +83,10 @@ def _ci_thresholds(n: int, p: float, alpha1: float, alpha2: float) -> tuple[int,
 def binom_cdf(n: int, p: float, k: int) -> float:
     """P(Binomial(n, p) <= k), accurate to ~1e-15 relative.
 
-    Out-of-range k is clamped: k < 0 gives 0, k >= n gives 1.
+    Out-of-range k is clamped: k < 0 gives 0, k >= n gives 1. n and k must
+    be integers (Python or numpy); a float raises TypeError.
     """
+    n, k = operator.index(n), operator.index(k)
     if n < 0:
         raise ValueError("n must be nonnegative")
     if not 0.0 < p < 1.0:
@@ -96,6 +99,16 @@ def binom_cdf(n: int, p: float, k: int) -> float:
     return min(float(cdf[k]), 1.0)
 
 
+def _check_levels(p: float, alpha1: float, alpha2: float) -> None:
+    """ValueError unless 0 < p < 1 (NaN fails) and alpha1 + alpha2 <= 1; `ci_ranks`
+    checks each alpha. A sum of exactly 1.0 passes: the split of a valid
+    QuantileSpec (alpha < 1) can round to it."""
+    if not 0.0 < p < 1.0:
+        raise ValueError("p must lie in (0, 1)")
+    if alpha1 + alpha2 > 1.0:
+        raise ValueError(f"alpha1 + alpha2 must not exceed 1, got {alpha1} + {alpha2}")
+
+
 def quantile_ci_indices(
     n: int, ties: TieIndices, p: float, alpha1: float, alpha2: float
 ) -> tuple[int, int]:
@@ -105,10 +118,11 @@ def quantile_ci_indices(
     u_hat the smallest j in [1, n+1] with P(B(n,p) >= I_{j,min}) <= alpha2,
     where the sentinel indices I_{0,max} = 0 and I_{n+1,min} = n+1 always
     qualify. l_hat = 0 / u_hat = n+1 signal infinite endpoints. `ties` must
-    have n entries.
+    have n entries; p must lie in (0, 1) and alpha1 + alpha2 must not exceed 1.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    _check_levels(p, alpha1, alpha2)
     if ties.i_min.shape != (n,):
         raise ValueError(f"ties must have n = {n} entries, got {ties.i_min.shape[0]}")
     l_hat, u_hat = ci_ranks(ties.i_min[None, :], ties.i_max[None, :], [n], p, alpha1, alpha2)
@@ -173,14 +187,14 @@ def subsample_quantile_cis(values, members, p: float, alpha1: float, alpha2: flo
 
 
 def df_quantile_ci(ys, p: float, alpha1: float, alpha2: float) -> IntervalResult:
-    """Distribution-free CI for the p-th quantile of an i.i.d. sample; NaN raises DomainError."""
+    """Distribution-free CI for the p-th quantile of an i.i.d. sample; NaN raises
+    DomainError, and levels are checked as in `quantile_ci_indices`."""
     ys = np.asarray(ys, dtype=float)
     if ys.ndim != 1 or ys.shape[0] < 1:
         raise ValueError("ys must be a nonempty 1-d array")
     if np.isnan(ys).any():
         raise DomainError("responses cannot be NaN")
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
+    _check_levels(p, alpha1, alpha2)
     n = ys.shape[0]
     values = ys + 0.0  # one sign of zero, as in every Dataset array
     values.sort()

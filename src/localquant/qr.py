@@ -49,7 +49,7 @@ def qr_cells(loc: Localization, q: QuantileSpec, streams) -> IntervalBatch:
     are sorted once per dataset, and the order-statistic CI of each cell is
     read from its own acceptance mask in that order. A cell without accepted
     rows gets the trivial interval; a cell fails only with the DomainError of
-    an underflowing n_eff.
+    an underflowing n_eff, and a failed cell has NaN endpoints.
     """
     accept = _accepted(loc, streams)
     cols = np.flatnonzero(accept.any(axis=tuple(range(accept.ndim - 1))))
@@ -63,6 +63,8 @@ def qr_cells(loc: Localization, q: QuantileSpec, streams) -> IntervalBatch:
     for cell in zip(*np.nonzero(np.not_equal(errors, None))):
         if not isinstance(errors[cell], DomainError):
             errors[cell] = None
+    failed = np.not_equal(errors, None)
+    lower, upper = (np.where(failed, np.nan, ends) for ends in (lower, upper))
     return IntervalBatch("QR", lower, upper, loc.n_eff, errors, {"accepted": sizes})
 
 

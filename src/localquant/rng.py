@@ -9,6 +9,7 @@ draws) consume non-overlapping randomness without coordination.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,16 +21,8 @@ _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 
 
-def _mix_int(z: int) -> int:
-    """SplitMix64 finalizer on a Python int (bijective avalanche mod 2**64)."""
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
-    return z ^ (z >> 31)
-
-
 def _mix_array(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer applied elementwise to a uint64 array."""
+    """SplitMix64 finalizer, elementwise; uint64 arrays wrap silently, numpy scalars warn."""
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
     return z ^ (z >> np.uint64(31))
@@ -49,16 +42,11 @@ class RngStream:
     key: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        k = _mix_int(self.master_seed)
-        key = _mix_int(k ^ ((self.stream_id & _MASK64) * _GOLDEN & _MASK64))
-        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "key", int(stream_keys(self.master_seed, [self.stream_id])[0]))
 
     def substream(self, tag: int) -> "RngStream":
         """Derive an independent stream keyed by `tag`."""
-        # tag -> tag * odd + 1 is injective mod 2**64, so distinct tags
-        # always yield distinct stream ids
-        t = ((tag & _MASK64) * _GOLDEN + 1) & _MASK64
-        return RngStream(self.master_seed, _mix_int(self.key ^ t))
+        return RngStream(self.master_seed, int(_substream_ids(self.key, [tag])[0]))
 
     def uniforms(self, n: int) -> np.ndarray:
         """`n` i.i.d. draws from the open interval (0, 1).
@@ -66,6 +54,7 @@ class RngStream:
         Draw i is a pure function of (master_seed, stream_id, i); calling
         uniforms(k) for k < n returns a prefix of uniforms(n).
         """
+        n = operator.index(n)
         if n < 0:
             raise ValueError("n must be nonnegative")
         return self.uniforms_at(np.arange(n, dtype=np.uint64))
@@ -83,27 +72,34 @@ class RngStream:
         return ndtri(self.uniforms(n))
 
 
-def stream_keys(master_seed: int, stream_ids) -> np.ndarray:
-    """RngStream(master_seed, i).key for each integer i of `stream_ids`, as a uint64 array.
+def _words(values) -> np.ndarray:
+    """Python or numpy integers modulo 2**64 as a uint64 array; floats raise TypeError."""
+    return np.array([operator.index(v) & _MASK64 for v in values], dtype=np.uint64)
 
-    The ids are taken modulo 2**64, as RngStream takes them; the arithmetic is
-    done on arrays, where uint64 products wrap silently.
-    """
-    return _keys_of_ids(master_seed, np.array([int(i) & _MASK64 for i in stream_ids], np.uint64))
+
+def stream_keys(master_seed: int, stream_ids) -> np.ndarray:
+    """RngStream(master_seed, i).key for each integer i of `stream_ids`, as a uint64 array;
+    with `substream_keys`, the one key schedule, which RngStream uses too."""
+    return _keys_of_ids(master_seed, _words(stream_ids))
 
 
 def substream_keys(master_seed: int, keys: np.ndarray, tags) -> np.ndarray:
     """Keys of the substreams `tags` of the streams of master_seed with the uint64
     `keys`: entry [..., t] is the key of stream.substream(tags[t]), of shape
     keys.shape + (len(tags),)."""
-    t = np.array([int(tag) & _MASK64 for tag in tags], dtype=np.uint64)
-    t = t * np.uint64(_GOLDEN) + np.uint64(1)
-    return _keys_of_ids(master_seed, _mix_array(np.asarray(keys, dtype=np.uint64)[..., None] ^ t))
+    return _keys_of_ids(master_seed, _substream_ids(keys, tags))
+
+
+def _substream_ids(keys, tags) -> np.ndarray:
+    """Stream ids of the substreams `tags` of the streams with the uint64 `keys`."""
+    # tag -> tag * odd + 1 is injective mod 2**64: distinct tags, distinct stream ids
+    t = _words(tags) * np.uint64(_GOLDEN) + np.uint64(1)
+    return _mix_array(np.asarray(keys, dtype=np.uint64)[..., None] ^ t)
 
 
 def _keys_of_ids(master_seed: int, ids: np.ndarray) -> np.ndarray:
     """RngStream.key of each stream id of the uint64 array `ids`."""
-    return _mix_array(np.uint64(_mix_int(master_seed)) ^ (ids * np.uint64(_GOLDEN)))
+    return _mix_array(_mix_array(_words([master_seed])) ^ (ids * np.uint64(_GOLDEN)))
 
 
 def stream_uniforms(streams, idx) -> np.ndarray:

@@ -146,7 +146,7 @@ _SIGNAL_FUNCS = {
 def signal_eval(signal: Signal, x):
     """Evaluate the signal at x in [0, 1] (elementwise)."""
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails too
         raise DomainError("signals are defined on [0, 1]")
     out = _SIGNAL_FUNCS[signal](arr)
     return float(out) if np.ndim(out) == 0 else out
@@ -294,7 +294,10 @@ def _q_cdf_factory(model: SyntheticModel, spec: LocalizationSpec):
 
 
 def true_q_cdf(model: SyntheticModel, spec: LocalizationSpec, y: float) -> float:
-    """Oracle localized response CDF Q_Y(y), by the composite Gauss-Legendre rule."""
+    """Oracle localized response CDF Q_Y(y), by the composite Gauss-Legendre rule;
+    NaN raises DomainError."""
+    if math.isnan(y):
+        raise DomainError("y cannot be NaN")
     return _q_cdf_factory(model, spec)(float(y))
 
 

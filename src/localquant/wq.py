@@ -49,9 +49,11 @@ def sigma_hat_p(ws: WeightedSample, p: float, theta_tilde: float) -> float:
 
     Returns sqrt of [n^-1 sum w_i^2 (1{y_i <= theta_tilde} - p)^2] divided by
     [n^-1 sum w_i]^2, with n the raw row count including zero-weight rows.
-    Raises DomainError when theta_tilde is NaN or the squared mean weight
-    underflows to zero.
+    Raises ValueError unless 0 < p < 1, and DomainError when theta_tilde is
+    NaN or the squared mean weight underflows to zero.
     """
+    if not 0.0 < p < 1.0:
+        raise ValueError("p must lie in (0, 1)")
     if math.isnan(theta_tilde):
         raise DomainError("theta_tilde cannot be NaN")
     if ws.weight_sum <= 0.0:

@@ -270,6 +270,20 @@ def test_underflow_reproducer_raises_in_both_methods():
         qr_interval(data, specs[0], q, RngStream(2))
 
 
+def test_failed_cells_have_nan_endpoints_in_both_methods():
+    # the underflow row above: QR gave (-inf, inf) beside its DomainError
+    d = 13
+    data = Dataset(np.full((1, d), -(1.0 - 2.0**-53)), [1.0])
+    specs = [LocalizationSpec(Kernel.TRIANGULAR, np.zeros(d), np.ones(d)),
+             LocalizationSpec(Kernel.TRIANGULAR, np.full(d, -0.9), np.ones(d))]
+    q = QuantileSpec(0.5, 0.1, 0.05)
+    loc = localize(data, specs)
+    for batch in (wq_cells(loc, q), qr_cells(loc, q, [RngStream(2), RngStream(3)])):
+        assert isinstance(batch.errors[0], DomainError) and batch.errors[1] is None
+        assert math.isnan(batch.lower[0]) and math.isnan(batch.upper[0])
+        assert batch.lower[1] <= batch.upper[1]
+
+
 def test_cells_must_share_a_kernel():
     data = Dataset([[0.5]], [1.0])
     specs = [LocalizationSpec(Kernel.TRIANGULAR, [0.5], [0.1]),

@@ -4,9 +4,12 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from localquant import DomainError, TieIndices, binom_cdf, df_quantile_ci, quantile_ci_indices
+from localquant import (DomainError, QuantileSpec, TieIndices, binom_cdf, df_quantile_ci,
+                        quantile_ci_indices)
 from localquant import orderstat
 
 
@@ -67,6 +70,14 @@ def test_binom_cdf_validation():
         binom_cdf(-1, 0.5, 0)
 
 
+def test_binom_cdf_counts_must_be_integers():
+    # 10.5 gave 0.13996 and k = 2.5 a bare IndexError
+    for n, k in ((10.5, 3), (10, 2.5)):
+        with pytest.raises(TypeError):
+            binom_cdf(n, 0.5, k)
+    assert binom_cdf(np.int64(10), 0.5, np.int32(3)) == binom_cdf(10, 0.5, 3)
+
+
 def test_tie_indices():
     t = TieIndices.from_sorted(np.array([1.0, 1.0, 2.0, 3.0, 3.0, 3.0]))
     assert t.i_min.tolist() == [1, 1, 3, 4, 4, 4]
@@ -76,6 +87,12 @@ def test_tie_indices():
             indices[0] = 0
     with pytest.raises(ValueError):
         TieIndices.from_sorted(np.array([2.0, 1.0]))
+
+
+def test_tie_indices_reject_nan():
+    # NaN defeated the ascending check: every comparison with it is False
+    with pytest.raises(ValueError, match="sorted"):
+        TieIndices.from_sorted(np.array([3.0, math.nan, 1.0]))
 
 
 def test_indices_five_distinct():
@@ -92,6 +109,51 @@ def test_indices_reject_ties_of_another_size():
         with pytest.raises(ValueError, match="10"):
             quantile_ci_indices(n, t, 0.5, 0.05, 0.05)
     assert quantile_ci_indices(10, t, 0.5, 0.05, 0.05) == (2, 9)
+
+
+@pytest.mark.parametrize("p, alpha1, alpha2", [
+    (1.5, 0.05, 0.05),  # math domain error
+    (math.nan, 0.05, 0.05),  # the interval (-inf, min]
+    (0.5, 0.9, 0.9),  # the crossed indices (7, 4)
+])
+def test_indices_reject_bad_levels(p, alpha1, alpha2):
+    t = TieIndices.from_sorted(np.arange(10.0))
+    with pytest.raises(ValueError, match="p must|exceed 1"):
+        quantile_ci_indices(10, t, p, alpha1, alpha2)
+
+
+@pytest.mark.parametrize("alpha1, alpha2", [(0.6, 0.6), (0.9, 0.9)])
+def test_df_ci_rejects_alphas_above_one(alpha1, alpha2):
+    # (0.6, 0.6) gave [5, 6]; (0.9, 0.9) raised "interval endpoints out of order"
+    with pytest.raises(ValueError, match="exceed 1"):
+        df_quantile_ci(np.repeat(np.arange(1.0, 11.0), 5), 0.5, alpha1, alpha2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.floats(1e-9, 1.0, exclude_max=True), st.just(1.0 - 2.0**-53)),
+    st.floats(0.0, 1.0),
+    st.lists(st.integers(0, 4), min_size=1, max_size=30),
+    st.sampled_from([0.05, 0.5, 0.95]),
+)
+def test_every_quantile_spec_split_is_accepted(alpha, share, values, p):
+    # a split of alpha < 1 can sum to exactly 1.0 in floating point
+    q = QuantileSpec(p, alpha, alpha * share)
+    assert q.alpha1 + q.alpha2 <= 1.0
+    ys = np.array(values, dtype=float)
+    ties = TieIndices.from_sorted(np.sort(ys))
+    l_hat, u_hat = quantile_ci_indices(len(ys), ties, p, q.alpha1, q.alpha2)
+    assert 0 <= l_hat and u_hat <= len(ys) + 1
+    res = df_quantile_ci(ys, p, q.alpha1, q.alpha2)
+    assert res.lower <= res.upper
+
+
+def test_split_that_sums_to_one_is_accepted():
+    alpha = 1.0 - 2.0**-53
+    q = next(q for q in (QuantileSpec(0.5, alpha, alpha * k / 97) for k in range(98))
+             if q.alpha1 + q.alpha2 == 1.0)
+    df_quantile_ci(np.arange(10.0), 0.5, q.alpha1, q.alpha2)
+    quantile_ci_indices(10, TieIndices.from_sorted(np.arange(10.0)), 0.5, q.alpha1, q.alpha2)
 
 
 def test_indices_n4_whole_line():

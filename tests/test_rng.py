@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,10 +67,32 @@ def test_rejects_negative_count():
         RngStream(1).uniforms(-1)
 
 
+_MASK = 2**64 - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _splitmix(z):
+    """SplitMix64 finalizer on Python ints, reduced modulo 2**64 explicitly."""
+    z &= _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def _key_reference(seed, stream_id):
+    """RngStream(seed, stream_id).key from Python ints."""
+    return _splitmix(_splitmix(seed) ^ (stream_id * _GOLDEN & _MASK))
+
+
+def _substream_key_reference(seed, key, tag):
+    """Key of substream `tag` of the stream of `seed` with `key`, from Python ints."""
+    return _key_reference(seed, _splitmix(key ^ ((tag * _GOLDEN + 1) & _MASK)))
+
+
 def _uniform_reference(stream, i):
     """Draw i from Python ints: the counter wraps modulo 2**64 explicitly."""
-    counter = stream.key + rng_mod._GOLDEN * (i + 1)
-    bits = rng_mod._mix_int(counter & rng_mod._MASK64)
+    counter = stream.key + _GOLDEN * (i + 1)
+    bits = _splitmix(counter)
     return ((bits >> 11) + 0.5) * 2.0**-53, counter >= 2**64
 
 
@@ -97,21 +121,73 @@ def test_uniforms_at_rejects_bad_indices():
         RngStream(1).uniforms_at([0.5])
 
 
-WIDE_INTS = st.one_of(st.integers(-(2**64), 2**65), st.integers(2**63 - 2, 2**63 + 2),
+WIDE_INTS = st.one_of(st.integers(-(2**64), 2**65), st.integers(-2, 2),
+                      st.integers(-(2**63) - 2, -(2**63) + 2), st.integers(2**63 - 2, 2**63 + 2),
                       st.integers(2**64 - 2, 2**64 + 1))
+
+
+def _as_numpy(x):
+    """x as a numpy integer of the same value where int64 or uint64 holds it, else x."""
+    if -(2**63) <= x < 2**63:
+        return np.int64(x)
+    return np.uint64(x) if 0 <= x < 2**64 else x
 
 
 @settings(max_examples=200, deadline=None)
 @given(WIDE_INTS, st.lists(WIDE_INTS, min_size=1, max_size=5),
        st.lists(WIDE_INTS, min_size=1, max_size=4))
 def test_stream_keys_match_stream_objects(seed, ids, tags):
+    expected = [_key_reference(seed, i) for i in ids]
+    expected_sub = [[_substream_key_reference(seed, k, t) for t in tags] for k in expected]
     keys = rng_mod.stream_keys(seed, ids)
     assert keys.dtype == np.uint64
-    assert keys.tolist() == [RngStream(seed, i).key for i in ids]
+    assert keys.tolist() == expected
+    assert [RngStream(seed, i).key for i in ids] == expected
     sub = rng_mod.substream_keys(seed, keys, tags)
     assert sub.shape == (len(ids), len(tags))
-    assert sub.tolist() == [[RngStream(seed, i).substream(t).key for t in tags] for i in ids]
+    assert sub.tolist() == expected_sub
+    assert [[RngStream(seed, i).substream(t).key for t in tags] for i in ids] == expected_sub
+    # numpy integers give the keys of the Python ints of the same value
+    np_seed = _as_numpy(seed)
+    np_ids, np_tags = [_as_numpy(i) for i in ids], [_as_numpy(t) for t in tags]
+    assert rng_mod.stream_keys(np_seed, np_ids).tolist() == expected
+    assert rng_mod.substream_keys(np_seed, keys, np_tags).tolist() == expected_sub
+    np_subs = [[RngStream(np_seed, i).substream(t).key for t in np_tags] for i in np_ids]
+    assert np_subs == expected_sub
+    # floats are refused, even integral ones
+    for call in (lambda: RngStream(float(seed)), lambda: RngStream(seed, float(ids[0])),
+                 lambda: RngStream(seed).substream(float(tags[0])),
+                 lambda: rng_mod.stream_keys(float(seed), ids),
+                 lambda: rng_mod.stream_keys(seed, [float(ids[0])]),
+                 lambda: rng_mod.substream_keys(seed, keys, [float(tags[0])])):
+        with pytest.raises(TypeError):
+            call()
     # draws read from a key array are the stream's own draws
     assert rng_mod.stream_uniforms(sub, [0, 3]).tobytes() == np.array(
         [[RngStream(seed, i).substream(t).uniforms_at([0, 3]) for t in tags] for i in ids]
     ).tobytes()
+
+
+EDGES = [0, 1, -1, 2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**64 - 1, 2**64, 2**64 + 1]
+
+
+def test_keys_match_reference_at_word_edges():
+    # numpy scalar products warn when they wrap, and warnings fail the tests
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in EDGES:
+            for i in EDGES:
+                expected = _key_reference(seed, i)
+                subs = [_substream_key_reference(seed, expected, t) for t in EDGES]
+                for r in (RngStream(seed, i), RngStream(_as_numpy(seed), _as_numpy(i))):
+                    assert r.key == expected
+                    assert [r.substream(t).key for t in EDGES] == subs
+                    assert [r.substream(_as_numpy(t)).key for t in EDGES] == subs
+
+
+def test_draw_counts_must_be_integers():
+    with pytest.raises(TypeError):
+        RngStream(1).uniforms(2.5)
+    with pytest.raises(TypeError):
+        RngStream(1).normals(2.0)
+    assert RngStream(1).uniforms(np.int64(3)).tobytes() == RngStream(1).uniforms(3).tobytes()

@@ -127,6 +127,17 @@ def test_signal_domain_error():
         signal_eval(Signal.BUMPS, 1.5)
 
 
+@pytest.mark.parametrize("x", [math.nan, [0.5, math.nan]])
+def test_signal_rejects_nan(x):
+    with pytest.raises(DomainError, match=r"\[0, 1\]"):
+        signal_eval(Signal.SPIKES, x)
+
+
+def test_true_q_cdf_rejects_nan():
+    with pytest.raises(DomainError, match="y cannot be NaN"):
+        true_q_cdf(SPIKES, SPIKES_SPEC, math.nan)
+
+
 def test_signal_vectorized():
     xs = np.linspace(0, 1, 101)
     vals = signal_eval(Signal.BUMPS, xs)

@@ -193,6 +193,13 @@ def test_sigma_at_nan_is_a_domain_error():
     assert math.isfinite(sigma_hat_p(WeightedSample([1.0, 2.0], [below, below]), 0.5, 1.5))
 
 
+@pytest.mark.parametrize("p", [1.5, -1.0, math.nan])
+def test_sigma_rejects_levels_outside_unit_interval(p):
+    # 1.5 and -1.0 gave 1.58; NaN raised an underflow DomainError
+    with pytest.raises(ValueError, match=r"p must lie in \(0, 1\)"):
+        sigma_hat_p(WeightedSample([1.0, 2.0], [1.0, 1.0]), p, 1.5)
+
+
 def test_scale_invariant_endpoints():
     # scaling every weight by c > 0 must reproduce the same endpoint values
     # when the interval is rebuilt from its components
