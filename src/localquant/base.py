@@ -24,6 +24,35 @@ def _frozen_float_array(values, ndim: int, name: str) -> np.ndarray:
     return _read_only(arr + 0.0)[0]
 
 
+def _stable_argsort(values: np.ndarray) -> np.ndarray:
+    """`np.argsort(values, axis=-1, kind="stable")` of a NaN-free array, from
+    numpy's default (unstable) argsort, which is several times faster.
+
+    Equal values lie in runs of the default order; each run is put back in
+    ascending position order by one sort of the distinct integer keys
+    run * m + position of the tied entries only, m the length of the last
+    axis. Runs are numbered across the whole array, so the keys list them
+    in the order they occupy. NaN equals nothing, so its runs would go
+    undetected; every Dataset and Replicates array is finite.
+    """
+    order = np.argsort(values, axis=-1)
+    srt = np.take_along_axis(values, order, axis=-1)
+    tied = srt[..., 1:] == srt[..., :-1]
+    if not tied.any():
+        return order
+    edge = np.zeros(tied.shape[:-1] + (1,), dtype=bool)
+    after = np.concatenate((edge, tied), axis=-1).ravel()  # equals the entry before
+    before = np.concatenate((tied, edge), axis=-1).ravel()  # equals the entry after
+    members = np.flatnonzero(after | before)
+    runs = np.cumsum(~after[members]) - 1
+    flat = order.reshape(-1)  # a view: argsort returns a new contiguous array
+    m = values.shape[-1]
+    keys = runs * m + flat[members]
+    keys.sort()
+    flat[members] = keys % m
+    return order
+
+
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     """Mark `arrays` read-only and return them: every array a public object
     keeps or caches is frozen here, so no caller can change it."""
@@ -83,7 +112,7 @@ class Dataset:
         """Stable argsort of covariate column 0 (read-only), built on first use
         and kept for the life of the dataset: `localize` binary-searches
         column 0 with it as `sorter` instead of passing over every row."""
-        return _read_only(np.argsort(self.covariates[:, 0], kind="stable"))[0]
+        return _read_only(_stable_argsort(self.covariates[:, 0]))[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -36,7 +36,8 @@ class TieIndices:
         n = values.shape[0]
         if n < 1:
             raise ValueError("need at least one value")
-        if not np.all(values[1:] >= values[:-1]):  # NaN fails too
+        # NaN equals nothing, so it fails the first test even as the only value
+        if not (np.all(values == values) and np.all(values[1:] >= values[:-1])):
             raise ValueError("values must be sorted ascending")
         # starts[k] is True where a run of equal values begins
         starts = np.ones(n, dtype=bool)
@@ -119,7 +120,9 @@ def quantile_ci_indices(
     where the sentinel indices I_{0,max} = 0 and I_{n+1,min} = n+1 always
     qualify. l_hat = 0 / u_hat = n+1 signal infinite endpoints. `ties` must
     have n entries; p must lie in (0, 1) and alpha1 + alpha2 must not exceed 1.
+    n must be an integer (Python or numpy); a float raises TypeError.
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError("n must be at least 1")
     _check_levels(p, alpha1, alpha2)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Dataset, IntervalBatch, IntervalResult, QuantileSpec
+from .base import Dataset, IntervalBatch, IntervalResult, QuantileSpec, _stable_argsort
 from .errors import DomainError
 from .kernels import Localization, LocalizationSpec, localize
 from .orderstat import subsample_quantile_cis
@@ -54,7 +54,7 @@ def qr_cells(loc: Localization, q: QuantileSpec, streams) -> IntervalBatch:
     accept = _accepted(loc, streams)
     cols = np.flatnonzero(accept.any(axis=tuple(range(accept.ndim - 1))))
     ys = loc.responses[..., loc.rows[cols]]
-    order = np.argsort(ys, axis=-1, kind="stable")
+    order = _stable_argsort(ys)
     members = np.take_along_axis(accept, cols[order][..., None, :], axis=-1)
     lower, upper, sizes = subsample_quantile_cis(
         np.take_along_axis(ys, order, axis=-1), members, q.p, q.alpha1, q.alpha2

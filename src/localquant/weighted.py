@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import _frozen_float_array, _read_only
+from .base import _frozen_float_array, _read_only, _stable_argsort
 from .errors import AllWeightsZero, DomainError
 
 
@@ -85,7 +85,7 @@ def sorted_cumulative(responses: np.ndarray, weights: np.ndarray, rows: np.ndarr
     cumulative weights at those rows are the same bits as when only they are
     sorted. Cells with no weight stay all zero.
     """
-    order = rows[np.argsort(responses[..., rows], axis=-1, kind="stable")]
+    order = rows[_stable_argsort(responses[..., rows])]
     cum = np.cumsum(np.take_along_axis(weights, order[..., None, :], axis=-1), axis=-1)
     last = cum[..., -1:]
     cum /= np.where(last > 0.0, last, 1.0)

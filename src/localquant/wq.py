@@ -29,11 +29,17 @@ NEFF_GUIDELINE = 10.0
 _TINY_LEVEL = float(np.nextafter(0.0, 1.0))
 
 
-def _sigma_rows(weights: np.ndarray, sums, responses: np.ndarray, p: float, thetas):
+def _sigma_rows(weights: np.ndarray, sums, responses: np.ndarray, p: float, thetas, rows):
     """sigma_hat_p of each cell of the (..., C, n) `weights`, whose sums are
-    `sums`, at thetas[..., k]; NaN where the squared mean weight underflows to zero."""
-    dev = (responses[..., None, :] <= np.asarray(thetas)[..., None]).astype(float) - p
-    nums = np.mean(weights**2 * dev**2, axis=-1)
+    `sums`, at thetas[..., k]; NaN where the squared mean weight underflows to zero.
+    Every weight outside the row indices `rows` must be zero."""
+    terms = weights**2
+    # (1{y <= theta} - p)**2 is exactly (1 - p)*(1 - p) or p*p, and numpy's
+    # **2 is x*x; a row outside `rows` has w**2 = 0.0 whatever its factor
+    terms[..., rows] *= np.where(
+        responses[..., None, rows] <= np.asarray(thetas)[..., None], (1.0 - p) * (1.0 - p), p * p
+    )
+    nums = np.mean(terms, axis=-1)
     # sums / n is np.mean bit for bit; Python's ** (C pow) differs from numpy's
     # x*x in the last bit for some x, and tests/data and perfbench/reference.json use **
     means = (np.asarray(sums) / weights.shape[-1]).ravel().tolist()
@@ -58,7 +64,10 @@ def sigma_hat_p(ws: WeightedSample, p: float, theta_tilde: float) -> float:
         raise DomainError("theta_tilde cannot be NaN")
     if ws.weight_sum <= 0.0:
         raise AllWeightsZero("all localization weights are zero")
-    sigma = _sigma_rows(ws.weights[None, :], [ws.weight_sum], ws.responses, p, [theta_tilde])[0]
+    sigma = _sigma_rows(
+        ws.weights[None, :], [ws.weight_sum], ws.responses, p, [theta_tilde],
+        np.flatnonzero(ws.weights),
+    )[0]
     if math.isnan(sigma):
         raise DomainError("the squared mean localization weight underflows to zero")
     return float(sigma)
@@ -82,7 +91,7 @@ def wq_cells(loc: Localization, q: QuantileSpec) -> IntervalBatch:
         return IntervalBatch("WQ", nan, nan, loc.n_eff, errors, details)
     srt, cum = sorted_cumulative(resp, weights, loc.rows)
     thetas = sorted_lookup(srt, cum, np.full(shape, q.p))
-    sigmas = _sigma_rows(weights, loc.weight_sum, resp, q.p, thetas)
+    sigmas = _sigma_rows(weights, loc.weight_sum, resp, q.p, thetas, loc.rows)
     root_n = math.sqrt(weights.shape[-1])
     z_lo = float(ndtri(q.alpha1))
     z_hi = float(ndtri(1.0 - q.alpha + q.alpha1))

@@ -125,6 +125,19 @@ def test_engine_matches_per_cell_reference(case):
     check_cells(*case)
 
 
+def test_heavy_ties_at_large_n_match_reference():
+    # about 1e3 distinct responses among 2e4 rows, so every response sort of
+    # wq_cells and qr_cells puts tie runs back in position order
+    rng = np.random.default_rng(2024)
+    x = rng.uniform(size=20_000)
+    y = np.round(np.sin(6.0 * x) + rng.normal(scale=1.5, size=x.size), 2)
+    assert 500 <= np.unique(y).size <= 2000
+    specs = [LocalizationSpec(Kernel.BIWEIGHT, [c], [h])
+             for c, h in ((0.1, 0.02), (0.4, 0.1), (0.5, 0.6), (0.9, 0.05))]
+    for q in (QuantileSpec(0.5, 0.1, 0.05), QuantileSpec(0.9, 0.1, 0.0)):
+        check_cells(Dataset(x[:, None], y), specs, q, 77)
+
+
 @st.composite
 def replicate_cases(draw):
     """R datasets of n rows and a few cells; ties, signed zeros and empty supports."""

@@ -95,6 +95,13 @@ def test_tie_indices_reject_nan():
         TieIndices.from_sorted(np.array([3.0, math.nan, 1.0]))
 
 
+@pytest.mark.parametrize("values", [[math.nan], [1.0, math.nan]])
+def test_tie_indices_reject_a_lone_or_last_nan(values):
+    # a lone NaN had no pair to compare and was accepted
+    with pytest.raises(ValueError, match="sorted ascending"):
+        TieIndices.from_sorted(np.array(values))
+
+
 def test_indices_five_distinct():
     # P(B(5,.5) < 1) = 1/32 <= .05 < P(B < 2) = 6/32,
     # P(B >= 5) = 1/32 <= .05 < P(B >= 4) = 6/32
@@ -109,6 +116,14 @@ def test_indices_reject_ties_of_another_size():
         with pytest.raises(ValueError, match="10"):
             quantile_ci_indices(n, t, 0.5, 0.05, 0.05)
     assert quantile_ci_indices(10, t, 0.5, 0.05, 0.05) == (2, 9)
+
+
+def test_indices_size_must_be_integer():
+    # 10.0 passed every check and then failed as a slice index deep inside
+    t = TieIndices.from_sorted(np.arange(10.0))
+    with pytest.raises(TypeError, match="integer"):
+        quantile_ci_indices(10.0, t, 0.5, 0.05, 0.05)
+    assert quantile_ci_indices(np.int64(10), t, 0.5, 0.05, 0.05) == (2, 9)
 
 
 @pytest.mark.parametrize("p, alpha1, alpha2", [

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from localquant import (
     AllWeightsZero,
@@ -13,6 +15,7 @@ from localquant import (
     weighted_cdf,
     weighted_quantile,
 )
+from localquant.base import _stable_argsort
 
 
 def cdf_oracle(ys, ws, y):
@@ -216,3 +219,36 @@ def test_cdf_at_nan_is_a_domain_error():
     # every comparison with NaN is false, so the search put NaN above every response
     with pytest.raises(DomainError, match="NaN"):
         weighted_cdf(WeightedSample([1.0, 2.0], [1.0, 1.0]), math.nan)
+
+
+@st.composite
+def sort_inputs(draw):
+    """A 1-D or (R, m) float array without NaN: continuous values, 2-5 distinct
+    values, mixed signed zeros, or all equal; m may be 0 or 1."""
+    shape = draw(st.sampled_from([(), (1,), (2,), (5,)])) + (draw(st.integers(0, 60)),)
+    size = math.prod(shape)
+    kind = draw(st.sampled_from(["continuous", "few", "zeros", "equal"]))
+    if kind == "continuous":
+        values = draw(st.lists(st.floats(allow_nan=False), min_size=size, max_size=size))
+    elif kind == "equal":
+        values = [draw(st.floats(allow_nan=False))] * size
+    else:
+        pool = ([0.0, -0.0, 1.0] if kind == "zeros" else
+                draw(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=5, unique=True)))
+        values = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+    return np.array(values, dtype=float).reshape(shape)
+
+
+@settings(max_examples=500, deadline=None)
+@given(sort_inputs())
+@example(np.empty((3, 0)))  # QR with no accepted rows sorts an empty last axis
+@example(np.empty(0))
+@example(np.array([[2.0], [-0.0]]))
+@example(np.array([[-0.0, 0.0, -0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]))
+def test_stable_argsort_equals_numpy_stable_sort(values):
+    before = values.copy()
+    got = _stable_argsort(values)
+    want = np.argsort(values, axis=-1, kind="stable")
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert values.tobytes() == before.tobytes()

@@ -16,11 +16,14 @@ from localquant import (
     LocalizationSpec,
     LowEffectiveSampleSizeWarning,
     QuantileSpec,
+    Replicates,
     WeightedSample,
     effective_sample_size,
     localization_weights,
+    localize,
     sigma_hat_p,
     weighted_quantile,
+    wq_cells,
     wq_interval,
 )
 
@@ -198,6 +201,38 @@ def test_sigma_rejects_levels_outside_unit_interval(p):
     # 1.5 and -1.0 gave 1.58; NaN raised an underflow DomainError
     with pytest.raises(ValueError, match=r"p must lie in \(0, 1\)"):
         sigma_hat_p(WeightedSample([1.0, 2.0], [1.0, 1.0]), p, 1.5)
+
+
+def dense_sigma(y, w, p):
+    """sigma_hat at the weighted p-quantile, every sum over all n rows: the
+    whole-sample expression, zero-weight rows included."""
+    theta = weighted_quantile(WeightedSample(y, w), p)
+    num = np.mean(w**2 * ((y <= theta).astype(float) - p) ** 2)
+    return math.sqrt(num / float(np.mean(w)) ** 2)
+
+
+def test_sigma_of_disjoint_cells_matches_dense_expression():
+    # the numerator is taken on the support rows only; the bits must not change
+    rng = np.random.default_rng(14)
+    data = make_data(rng, n=3000)
+    specs = [LocalizationSpec(Kernel.BIWEIGHT, [c], [0.1]) for c in (0.15, 0.5, 0.85)]
+    loc = localize(data, specs)
+    assert (loc.weights > 0.0).sum(axis=0).max() == 1  # no row in two windows
+    sigmas = wq_cells(loc, QuantileSpec(0.3, 0.1, 0.05)).details["sigma_hat"]
+    for k in range(len(specs)):
+        assert repr(sigmas[k].item()) == repr(dense_sigma(data.responses, loc.weights[k], 0.3))
+
+
+def test_sigma_of_replicates_matches_dense_expression():
+    rng = np.random.default_rng(15)
+    x = rng.uniform(size=(3, 200, 1))
+    y = np.round(np.sin(6 * x[..., 0]) + rng.normal(scale=0.4, size=(3, 200)), 1)
+    specs = [LocalizationSpec(Kernel.TRIANGULAR, [c], [0.2]) for c in (0.2, 0.4, 0.6, 0.8)]
+    loc = localize(Replicates(x, y), specs)
+    sigmas = wq_cells(loc, QuantileSpec(0.7, 0.1, 0.05)).details["sigma_hat"]
+    for r in range(3):
+        for k in range(len(specs)):
+            assert repr(sigmas[r, k].item()) == repr(dense_sigma(y[r], loc.weights[r, k], 0.7))
 
 
 def test_scale_invariant_endpoints():
