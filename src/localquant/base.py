@@ -24,16 +24,22 @@ def _frozen_float_array(values, ndim: int, name: str) -> np.ndarray:
     return _read_only(arr + 0.0)[0]
 
 
-def _stable_argsort(values: np.ndarray) -> np.ndarray:
-    """`np.argsort(values, axis=-1, kind="stable")` of a NaN-free array, from
-    numpy's default (unstable) argsort, which is several times faster.
+def _stable_argsort(values: np.ndarray, ids: np.ndarray | None = None) -> np.ndarray:
+    """`np.lexsort((ids, values))` along the last axis of a NaN-free array:
+    ascending values, equal values in ascending order of `ids`, one distinct
+    nonnegative integer per position of the last axis. Without `ids` the
+    positions are the ids, which is `np.argsort(values, axis=-1, kind="stable")`.
+    Built from numpy's default (unstable) argsort, which is several times faster.
 
-    Equal values lie in runs of the default order; each run is put back in
-    ascending position order by one sort of the distinct integer keys
-    run * m + position of the tied entries only, m the length of the last
-    axis. Runs are numbered across the whole array, so the keys list them
-    in the order they occupy. NaN equals nothing, so its runs would go
-    undetected; every Dataset and Replicates array is finite.
+    Equal values lie in runs of the default order; each run is put in id order
+    by one in-place sort of the distinct integer keys (run * k + id) * m +
+    position of the tied entries only, k one more than the largest id and m
+    the length of the last axis, whose remainders mod m are then the positions
+    (without `ids`, run * m + position). Runs are numbered across the whole
+    array, so the keys list them in the order they occupy. When the keys
+    would overflow int64, the tied entries are lexsorted by (run, id) instead.
+    NaN equals nothing, so its runs would go undetected; every Dataset and
+    Replicates array is finite.
     """
     order = np.argsort(values, axis=-1)
     srt = np.take_along_axis(values, order, axis=-1)
@@ -46,8 +52,19 @@ def _stable_argsort(values: np.ndarray) -> np.ndarray:
     members = np.flatnonzero(after | before)
     runs = np.cumsum(~after[members]) - 1
     flat = order.reshape(-1)  # a view: argsort returns a new contiguous array
+    positions = flat[members]
     m = values.shape[-1]
-    keys = runs * m + flat[members]
+    if ids is None:
+        keys = runs * m + positions
+    else:
+        k = int(ids.max()) + 1
+        if (int(runs[-1]) + 1) * k * m > np.iinfo(np.int64).max:
+            flat[members] = positions[np.lexsort((ids[positions], runs))]
+            return order
+        keys = runs * k
+        keys += ids[positions]
+        keys *= m
+        keys += positions
     keys.sort()
     flat[members] = keys % m
     return order

@@ -121,12 +121,16 @@ class LocalizationSpec:
 class Localization:
     """Kernel weights of C cells on one dataset, or on each of R replicates.
 
-    For a Dataset, `responses` is (n,) and `weights` (C, n); for Replicates
-    they are (R, n) and (R, C, n). `weights` is in row order, zero outside
-    each cell's support; `rows` lists, ascending, every row with positive
-    weight in some cell of some dataset. `weight_sum`, `n_eff` and `errors`
-    are `weighted.weight_stats(weights)`, one entry per cell. Every array is
-    read-only.
+    `responses` is (n,) for a Dataset and (R, n) for Replicates; n is its last
+    axis. `weights` holds the weights of the rows `rows` only: (C, m) for a
+    Dataset and (R, C, m) for Replicates, entry [..., k, j] the weight of row
+    rows[j] in cell k; every row not in `rows` has weight zero in every cell.
+    On a Dataset `rows` are the rows with positive weight in some cell, in
+    `first_column_index` order (column 0 ascending, not row order), so no
+    array made here has n entries unless every row has weight; on Replicates
+    `rows` is every row in ascending order. `weight_sum`, `n_eff` and
+    `errors` are `weighted.weight_stats(weights, rows, n)`, one entry per
+    cell. Every array is read-only.
     """
 
     responses: np.ndarray
@@ -150,6 +154,10 @@ def localize(data: Dataset | Replicates, specs) -> Localization:
     same elementwise operations as a single cell, and a row outside a cell's
     own window has |u| beyond the support radius in floating point (or u
     overflows to infinity), so it gets exactly 0 there.
+
+    On a Dataset only the span's rows with positive weight in some cell are
+    kept, in column-0 order, with their weights; the sums over all n rows are
+    taken from them by `weighted.full_sums`.
     """
     specs = list(specs)
     if not specs:
@@ -184,13 +192,14 @@ def localize(data: Dataset | Replicates, specs) -> Localization:
         local = np.prod(kernel.evaluate(u), axis=-1)
     local[local < _WEIGHT_FLOOR] = 0.0
     if isinstance(data, Dataset):
-        weights = np.zeros((len(specs), data.n))
-        weights[:, span] = local
+        support = local.any(axis=0)
+        # compress keeps the cells' rows contiguous, as numpy's sums need for their bits
+        rows, weights = span[support], local.compress(support, axis=1)
     else:
-        weights = local
-    rows = np.flatnonzero(weights.reshape(-1, data.n).any(axis=0))
+        rows, weights = np.arange(data.n), local
     return Localization(
-        data.responses, specs[0].kernel_max, *_read_only(weights, rows), *weight_stats(weights)
+        data.responses, specs[0].kernel_max, *_read_only(weights, rows),
+        *weight_stats(weights, rows, data.n),
     )
 
 
@@ -201,4 +210,7 @@ def localization_weights(data: Dataset, spec: LocalizationSpec) -> WeightedSampl
     the kernel support get weight exactly 0 and are retained so indices stay
     aligned with the input. The weights are those of `localize` with one cell.
     """
-    return WeightedSample(responses=data.responses, weights=localize(data, [spec]).weights[0])
+    loc = localize(data, [spec])
+    weights = np.zeros(data.n)
+    weights[loc.rows] = loc.weights[0]
+    return WeightedSample(responses=data.responses, weights=weights)

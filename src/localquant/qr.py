@@ -24,21 +24,21 @@ def _accepted(loc: Localization, streams) -> np.ndarray:
     the stream of each cell; `streams` has one stream (or uint64 key) per cell.
 
     A zero-weight row is never kept, since every draw is positive, so only
-    the draws of rows with positive weight in some cell are computed.
+    the draws of loc.rows are computed.
     """
     draws = stream_uniforms(streams, loc.rows)
-    return draws <= loc.weights[..., loc.rows] / loc.kernel_max
+    return draws <= loc.weights / loc.kernel_max
 
 
 def rejection_sample(data: Dataset, spec: LocalizationSpec, rng: RngStream) -> np.ndarray:
-    """Indices of rows accepted as i.i.d. draws from the localized law.
+    """Indices of rows accepted as i.i.d. draws from the localized law, ascending.
 
     Row i is judged by draw i of the stream, whatever the weights of the
     other rows, so the accepted set is invariant to any weight-pruning
     shortcut.
     """
     loc = localize(data, [spec])
-    return loc.rows[_accepted(loc, [rng])[0]]
+    return np.sort(loc.rows[_accepted(loc, [rng])[0]])
 
 
 def qr_cells(loc: Localization, q: QuantileSpec, streams) -> IntervalBatch:
@@ -53,8 +53,9 @@ def qr_cells(loc: Localization, q: QuantileSpec, streams) -> IntervalBatch:
     """
     accept = _accepted(loc, streams)
     cols = np.flatnonzero(accept.any(axis=tuple(range(accept.ndim - 1))))
-    ys = loc.responses[..., loc.rows[cols]]
-    order = _stable_argsort(ys)
+    ids = loc.rows[cols]
+    ys = loc.responses[..., ids]
+    order = _stable_argsort(ys, ids)
     members = np.take_along_axis(accept, cols[order][..., None, :], axis=-1)
     lower, upper, sizes = subsample_quantile_cis(
         np.take_along_axis(ys, order, axis=-1), members, q.p, q.alpha1, q.alpha2

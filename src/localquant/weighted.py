@@ -68,28 +68,30 @@ class WeightedSample:
         """
         if self.weight_sum <= 0.0:
             raise AllWeightsZero("all localization weights are zero")
-        resp, cum = sorted_cumulative(
-            self.responses, self.weights[None, :], np.flatnonzero(self.weights)
-        )
+        rows = np.flatnonzero(self.weights)
+        resp, cum = sorted_cumulative(self.responses, self.weights[None, rows], rows)
         return _read_only(resp, cum[0])
 
 
 def sorted_cumulative(responses: np.ndarray, weights: np.ndarray, rows: np.ndarray):
-    """Responses of `rows` in stable ascending order, and the cumulative
-    normalized weights of each cell of `weights` in that order.
+    """Responses of `rows` in ascending order, equal responses in row order,
+    and the cumulative normalized weights of each cell of `weights` in that
+    order.
 
-    `responses` is (n,) with (C, n) `weights`, or (R, n) with (R, C, n)
-    `weights` for R datasets; each dataset is sorted on its own. A cell that
-    is zero on some of `rows` adds exactly 0.0 there, and the stable order
-    restricted to its positive rows is their own stable order, so its
+    `responses` is (n,) with (C, m) `weights`, or (R, n) with (R, C, m)
+    `weights` for R datasets: weights[..., k, j] is the weight of row rows[j],
+    whatever order `rows` lists the rows in. Each dataset is sorted on its
+    own. A cell that is zero on some of `rows` adds exactly 0.0 there, and
+    this order restricted to its positive rows is their own order, so its
     cumulative weights at those rows are the same bits as when only they are
     sorted. Cells with no weight stay all zero.
     """
-    order = rows[_stable_argsort(responses[..., rows])]
+    resp = responses[..., rows]
+    order = _stable_argsort(resp, rows)
     cum = np.cumsum(np.take_along_axis(weights, order[..., None, :], axis=-1), axis=-1)
     last = cum[..., -1:]
     cum /= np.where(last > 0.0, last, 1.0)
-    return np.take_along_axis(responses, order, axis=-1), cum
+    return np.take_along_axis(resp, order, axis=-1), cum
 
 
 def sorted_lookup(resp: np.ndarray, cum: np.ndarray, levels) -> np.ndarray:
@@ -120,12 +122,41 @@ def weighted_quantile(ws: WeightedSample, p: float) -> float:
     return float(sorted_lookup(resp, cum[None, :], [p])[0])
 
 
-def weight_stats(weights: np.ndarray):
-    """Per cell of the (..., C, n) `weights`: its sum, its effective sample size
-    (0.0 if the cell fails), and the AllWeightsZero or DomainError it raises, or
-    None, as an object array; all three are read-only."""
-    sums = weights.sum(axis=-1)
-    sum_sq = (weights**2).sum(axis=-1)
+def full_sums(values: np.ndarray, rows: np.ndarray, n: int, squares: bool = False):
+    """Sums over the last axis of the (..., n) array that holds the (..., m)
+    `values` at the distinct row indices `rows` and 0.0 at every other row;
+    with `squares`, also the sums of its squares.
+
+    Each is numpy's sum of one whole n-length row of that array, so it has the
+    bits of a sum over all n rows, zero rows included. The rows are built one
+    at a time in a single n-length buffer, which is squared in place for the
+    second sum and freed on return; each row is written at every entry of
+    `rows`, the only entries the previous row set, so the buffer needs no
+    clearing in between. When `rows` is every row in ascending order,
+    `values` is that array already and is summed as it is.
+    """
+    if rows.size == n and np.all(rows[1:] > rows[:-1]):
+        sums = values.sum(axis=-1)
+        # numpy's x**2 is x*x
+        return (sums, (values * values).sum(axis=-1)) if squares else sums
+    sums = np.empty(values.shape[:-1])
+    sum_sq = np.empty(values.shape[:-1])
+    full = np.zeros(n)
+    for cell in np.ndindex(values.shape[:-1]):
+        full[rows] = values[cell]
+        sums[cell] = full.sum()
+        if squares:
+            np.multiply(full, full, out=full)
+            sum_sq[cell] = full.sum()
+    return (sums, sum_sq) if squares else sums
+
+
+def weight_stats(weights: np.ndarray, rows: np.ndarray, n: int):
+    """Per cell of the (..., C, m) `weights` of rows `rows` out of n: its sum,
+    its effective sample size (0.0 if the cell fails), and the AllWeightsZero
+    or DomainError it raises, or None, as an object array; all three are
+    read-only. Both sums are over all n rows (see `full_sums`)."""
+    sums, sum_sq = full_sums(weights, rows, n, squares=True)
     no_weight = sums <= 0.0
     underflow = ~no_weight & (sum_sq == 0.0)
     ok = ~(no_weight | underflow)
@@ -146,7 +177,7 @@ def effective_sample_size(ws: WeightedSample) -> float:
     Raises DomainError when sum w^2 underflows to zero (every weight below
     about 1e-162), where the ratio is undefined in floating point.
     """
-    _, n_eff, errors = weight_stats(ws.weights[None, :])
+    _, n_eff, errors = weight_stats(ws.weights[None, :], np.arange(len(ws)), len(ws))
     if errors[0] is not None:
         raise errors[0]
     return float(n_eff[0])

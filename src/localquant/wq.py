@@ -19,7 +19,7 @@ from scipy.special import ndtri
 from .base import Dataset, IntervalBatch, IntervalResult, QuantileSpec
 from .errors import AllWeightsZero, DomainError, LowEffectiveSampleSizeWarning
 from .kernels import Localization, LocalizationSpec, localize
-from .weighted import WeightedSample, sorted_cumulative, sorted_lookup
+from .weighted import WeightedSample, full_sums, sorted_cumulative, sorted_lookup
 
 # below this effective sample size the normal calibration is unreliable
 NEFF_GUIDELINE = 10.0
@@ -30,19 +30,20 @@ _TINY_LEVEL = float(np.nextafter(0.0, 1.0))
 
 
 def _sigma_rows(weights: np.ndarray, sums, responses: np.ndarray, p: float, thetas, rows):
-    """sigma_hat_p of each cell of the (..., C, n) `weights`, whose sums are
-    `sums`, at thetas[..., k]; NaN where the squared mean weight underflows to zero.
-    Every weight outside the row indices `rows` must be zero."""
-    terms = weights**2
+    """sigma_hat_p of each cell of the (..., C, m) `weights` of the rows `rows`
+    of the (..., n) `responses`, whose sums over all n rows are `sums`, at
+    thetas[..., k]; NaN where the squared mean weight underflows to zero."""
     # (1{y <= theta} - p)**2 is exactly (1 - p)*(1 - p) or p*p, and numpy's
-    # **2 is x*x; a row outside `rows` has w**2 = 0.0 whatever its factor
-    terms[..., rows] *= np.where(
+    # **2 is x*x; a row outside `rows` has weight 0.0, so its term is the 0.0
+    # that full_sums puts there
+    terms = weights**2 * np.where(
         responses[..., None, rows] <= np.asarray(thetas)[..., None], (1.0 - p) * (1.0 - p), p * p
     )
-    nums = np.mean(terms, axis=-1)
     # sums / n is np.mean bit for bit; Python's ** (C pow) differs from numpy's
     # x*x in the last bit for some x, and tests/data and perfbench/reference.json use **
-    means = (np.asarray(sums) / weights.shape[-1]).ravel().tolist()
+    n = responses.shape[-1]
+    nums = full_sums(terms, rows, n) / n
+    means = (np.asarray(sums) / n).ravel().tolist()
     dens = np.array([mean**2 for mean in means]).reshape(nums.shape)
     sigmas = np.full(nums.shape, math.nan)
     ok = dens != 0.0
@@ -64,9 +65,9 @@ def sigma_hat_p(ws: WeightedSample, p: float, theta_tilde: float) -> float:
         raise DomainError("theta_tilde cannot be NaN")
     if ws.weight_sum <= 0.0:
         raise AllWeightsZero("all localization weights are zero")
+    rows = np.flatnonzero(ws.weights)
     sigma = _sigma_rows(
-        ws.weights[None, :], [ws.weight_sum], ws.responses, p, [theta_tilde],
-        np.flatnonzero(ws.weights),
+        ws.weights[None, rows], [ws.weight_sum], ws.responses, p, [theta_tilde], rows
     )[0]
     if math.isnan(sigma):
         raise DomainError("the squared mean localization weight underflows to zero")
@@ -76,7 +77,7 @@ def sigma_hat_p(ws: WeightedSample, p: float, theta_tilde: float) -> float:
 def wq_cells(loc: Localization, q: QuantileSpec) -> IntervalBatch:
     """Weighted Quantile intervals of every cell of `loc`, computed together.
 
-    The positive-weight rows of all cells of a dataset are sorted once; each
+    The rows `loc.rows` of a dataset are sorted once for all cells; each
     cell reads its quantiles from its own cumulative weights in that order. A
     cell fails with AllWeightsZero when it has no weight, and with
     DomainError when its weights are too small for n_eff, sigma_hat or
@@ -92,7 +93,7 @@ def wq_cells(loc: Localization, q: QuantileSpec) -> IntervalBatch:
     srt, cum = sorted_cumulative(resp, weights, loc.rows)
     thetas = sorted_lookup(srt, cum, np.full(shape, q.p))
     sigmas = _sigma_rows(weights, loc.weight_sum, resp, q.p, thetas, loc.rows)
-    root_n = math.sqrt(weights.shape[-1])
+    root_n = math.sqrt(resp.shape[-1])
     z_lo = float(ndtri(q.alpha1))
     z_hi = float(ndtri(1.0 - q.alpha + q.alpha1))
     # IEEE operations in the order of the scalar formula; -inf * 0.0 is NaN

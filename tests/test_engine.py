@@ -11,11 +11,12 @@ import math
 import pathlib
 import sys
 import traceback
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import interval_reference as ref
@@ -37,6 +38,7 @@ from localquant import (
     qr_cells,
     qr_interval,
     quantile_ci_indices,
+    rejection_sample,
     run_experiment,
     write_summaries,
     weighted_cdf,
@@ -46,6 +48,7 @@ from localquant import (
 )
 from localquant import orderstat, weighted
 from localquant.rng import stream_keys
+from localquant.weighted import sorted_cumulative
 from localquant.experiments import ExperimentConfig
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "quick-spikes-s1.csv"
@@ -63,6 +66,14 @@ def outcome(fn, *args):
         return fields(fn(*args))
     except (AllWeightsZero, DomainError) as exc:
         return type(exc)
+
+
+def dense_weights(loc):
+    """loc.weights as (..., C, n): each row's weights at its place in row
+    order, zero at every row not in loc.rows."""
+    dense = np.zeros(loc.weights.shape[:-1] + loc.responses.shape[-1:])
+    dense[..., loc.rows] = loc.weights
+    return dense
 
 
 def cell_outcomes(batch):
@@ -121,6 +132,12 @@ def check_cells(data, specs, q, seed):
 
 @settings(max_examples=300, deadline=None)
 @given(cases())
+@example((  # two cells on every row, in row order: the weights are summed in place
+    Dataset(np.zeros((8, 1)), np.zeros(8)),
+    [LocalizationSpec(Kernel.GAUSSIAN, [0.0], [0.5])] * 2,
+    QuantileSpec(0.1, 0.1, 0.0),
+    0,
+))
 def test_engine_matches_per_cell_reference(case):
     check_cells(*case)
 
@@ -136,6 +153,99 @@ def test_heavy_ties_at_large_n_match_reference():
              for c, h in ((0.1, 0.02), (0.4, 0.1), (0.5, 0.6), (0.9, 0.05))]
     for q in (QuantileSpec(0.5, 0.1, 0.05), QuantileSpec(0.9, 0.1, 0.0)):
         check_cells(Dataset(x[:, None], y), specs, q, 77)
+
+
+def test_reversed_column_order_with_heavy_ties_matches_reference():
+    # column 0 descends as the row index ascends, so in every tie run of the
+    # responses (7 distinct values) column-0 order is the reverse of row order;
+    # the widest cell holds all of column 0, so its rows are all n rows, in
+    # column-0 order
+    rng = np.random.default_rng(31)
+    n = 4000
+    x = np.sort(rng.uniform(size=n))[::-1]
+    y = rng.integers(0, 7, size=n).astype(float)
+    data = Dataset(x[:, None], y)
+    assert np.array_equal(data.first_column_index, np.arange(n)[::-1])
+    specs = [LocalizationSpec(Kernel.BIWEIGHT, [c], [h])
+             for c, h in ((0.2, 0.05), (0.6, 0.2), (0.5, 2.0))]
+    for q in (QuantileSpec(0.5, 0.1, 0.05), QuantileSpec(0.9, 0.1, 0.0)):
+        check_cells(data, specs, q, 5)
+    for k, spec in enumerate(specs):
+        w = ref.weights(data, spec)
+        loc = localize(data, [spec])
+        assert repr(float(loc.n_eff[0])) == repr(ref._n_eff(w))
+        # tie runs in row order: the reference's cumulative weights, every entry
+        srt, cum = sorted_cumulative(loc.responses, loc.weights, loc.rows)
+        want_srt, want_cum = ref._sorted(data.responses, w)
+        assert (srt.tobytes(), cum[0].tobytes()) == (want_srt.tobytes(), want_cum.tobytes())
+        stream = RngStream(5).substream(k)
+        support = np.flatnonzero(w)
+        accepted = support[stream.uniforms_at(support) <= w[support] / spec.kernel_max]
+        assert rejection_sample(data, spec, stream).tobytes() == accepted.tobytes()
+    assert localize(data, specs[2:]).rows.size == n
+
+
+def check_layout(data, specs):
+    """A Dataset's localization keeps the rows with positive weight in some
+    cell, each once, with their weights; nothing else has n entries."""
+    loc = localize(data, specs)
+    m = loc.rows.size
+    assert loc.weights.shape == (len(specs), m)
+    assert loc.responses is data.responses
+    assert np.unique(loc.rows).size == m
+    assert np.all(loc.weights.max(axis=0, initial=0.0) > 0.0)
+    assert np.array_equal(dense_weights(loc), [ref.weights(data, spec) for spec in specs])
+    return loc
+
+
+def test_localization_layout_edge_cases():
+    q = QuantileSpec(0.5, 0.1, 0.05)
+    rng = np.random.default_rng(8)
+    data = Dataset(rng.uniform(size=(50, 1)), rng.normal(size=50))
+    # an empty support
+    empty = [LocalizationSpec(Kernel.TRIANGULAR, [c], [0.1]) for c in (5.0, -3.0)]
+    loc = check_layout(data, empty)
+    assert loc.weights.shape == (2, 0)
+    assert [type(e) for e in wq_cells(loc, q).errors] == [AllWeightsZero] * 2
+    res = qr_cells(loc, q, [RngStream(1), RngStream(2)]).result(1)
+    assert (res.lower, res.upper, res.n_eff, res.accepted) == (-math.inf, math.inf, 0.0, 0)
+    with pytest.raises(AllWeightsZero):
+        wq_interval(data, empty[0], q)
+    check_cells(data, empty, q, 3)
+    # a window that holds all of column 0: m == n, rows in column-0 order
+    wide = [LocalizationSpec(Kernel.BIWEIGHT, [0.5], [3.0])]
+    loc = check_layout(data, wide)
+    assert loc.rows.size == data.n
+    assert np.array_equal(loc.rows, data.first_column_index)
+    check_cells(data, wide, q, 3)
+    # one row, in and out of the window
+    one = Dataset([[0.5]], [2.0])
+    for spec in (LocalizationSpec(Kernel.UNIFORM, [0.5], [0.1]),
+                 LocalizationSpec(Kernel.UNIFORM, [0.9], [0.1])):
+        check_layout(one, [spec])
+        check_cells(one, [spec], q, 3)
+
+
+def test_narrow_query_makes_one_n_length_array_at_a_time():
+    # the localization and both methods keep arrays of the support rows only;
+    # the one n-length array, the buffer of weighted.full_sums, is freed
+    # before the next one is made
+    rng = np.random.default_rng(9)
+    n = 200_000
+    data = Dataset(rng.uniform(size=(n, 1)), rng.normal(size=n))
+    data.first_column_index  # built once per dataset, not per query
+    spec = LocalizationSpec(Kernel.TRIANGULAR, [0.5], [1e-3])
+    q = QuantileSpec(0.5, 0.1, 0.05)
+    tracemalloc.start()
+    try:
+        loc = localize(data, [spec])
+        wq_cells(loc, q)
+        qr_cells(loc, q, [RngStream(4)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < loc.rows.size < n // 100
+    assert 8 * n <= peak < 12 * n
 
 
 @st.composite
@@ -166,7 +276,7 @@ def test_replicate_axis_matches_one_dataset_at_a_time(case):
     batches = wq_cells(loc, q), qr_cells(loc, q, keys)
     for r in range(len(responses)):
         one = localize(Dataset(covariates[r], responses[r]), specs)
-        assert loc.weights[r].tobytes() == one.weights.tobytes()
+        assert dense_weights(loc)[r].tobytes() == dense_weights(one).tobytes()
         assert set(one.rows.tolist()) <= set(loc.rows.tolist())
         for batch, alone in zip(batches, (wq_cells(one, q), qr_cells(one, q, keys[r]))):
             assert cell_outcomes(alone) == [
@@ -195,7 +305,7 @@ def underflow_cases(draw):
 @given(st.one_of(cases(), underflow_cases()))
 def test_localization_weight_stats_match_reference(case):
     data, specs, q, seed = case
-    loc = localize(data, specs)
+    loc = check_layout(data, specs)
     for k, spec in enumerate(specs):
         w = ref.weights(data, spec)
         assert repr(float(loc.weight_sum[k])) == repr(float(np.sum(w)))
@@ -221,9 +331,9 @@ def count_weight_stats(monkeypatch):
     calls = []
     original = weighted.weight_stats
 
-    def counted(weights):
-        calls.append(weights.shape)
-        return original(weights)
+    def counted(weights, rows, n):
+        calls.append((weights.shape[:-1], n))
+        return original(weights, rows, n)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("localquant") and getattr(module, "weight_stats", None) is original:
@@ -240,7 +350,7 @@ def test_weight_stats_once_per_localization(monkeypatch):
     loc = localize(data, specs)
     wq_cells(loc, q)
     qr_cells(loc, q, [RngStream(8).substream(k) for k in range(3)])
-    assert calls == [(3, 41)]
+    assert calls == [((3,), 41)]
     # a study computes them once per chunk of replicates, for both methods
     # together; seven replicates of 4 cells at n = 60 fit in one chunk
     calls.clear()
@@ -249,7 +359,7 @@ def test_weight_stats_once_per_localization(monkeypatch):
         x0_points=(0.3, 0.5), p=0.5, alpha=0.1, alpha1=0.05, n=60, n_sim=7, master_seed=3,
     )
     run_experiment(config)
-    assert calls == [(7, 4, 60)]
+    assert calls == [((7, 4), 60)]
 
 
 def test_empty_support_cells_among_others():

@@ -16,6 +16,7 @@ from localquant import (
     weighted_quantile,
 )
 from localquant.base import _stable_argsort
+from localquant.weighted import full_sums
 
 
 def cdf_oracle(ys, ws, y):
@@ -251,4 +252,62 @@ def test_stable_argsort_equals_numpy_stable_sort(values):
     want = np.argsort(values, axis=-1, kind="stable")
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
+    assert values.tobytes() == before.tobytes()
+
+
+@st.composite
+def sort_inputs_with_ids(draw):
+    """sort_inputs() and distinct nonnegative ids, one per position of the last
+    axis, in any order and with gaps."""
+    values = draw(sort_inputs())
+    m = values.shape[-1]
+    ids = draw(st.lists(st.integers(0, 4 * m + 3), min_size=m, max_size=m, unique=True))
+    return values, np.array(ids, dtype=np.intp)
+
+
+@settings(max_examples=500, deadline=None)
+@given(sort_inputs_with_ids())
+@example((np.empty((3, 0)), np.empty(0, dtype=np.intp)))
+@example((np.empty(0), np.empty(0, dtype=np.intp)))
+@example((np.array([[2.0], [-0.0]]), np.array([7])))
+@example((np.array([[-0.0, 0.0, -0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]), np.array([9, 2, 5, 0])))
+@example((np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0]]), np.array([2**62, 5, 0])))  # keys overflow int64
+def test_stable_argsort_breaks_ties_by_ids(case):
+    values, ids = case
+    before = values.copy()
+    got = _stable_argsort(values, ids)
+    want = np.lexsort((np.broadcast_to(ids, values.shape), values), axis=-1)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert values.tobytes() == before.tobytes()
+
+
+@st.composite
+def scattered_rows(draw):
+    """(..., m) nonnegative values at m distinct rows of n, in any order."""
+    n = draw(st.integers(1, 300))
+    lead = draw(st.sampled_from([(1,), (3,), (2, 2)]))
+    if draw(st.booleans()):
+        rows = np.arange(n)  # every row, ascending
+    else:
+        rows = np.array(draw(st.permutations(range(n))))[: draw(st.integers(0, n))]
+    values = np.array(draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(0.0, 1e3), st.floats(1e-200, 1e-150)),
+        min_size=math.prod(lead) * rows.size, max_size=math.prod(lead) * rows.size,
+    ))).reshape(lead + rows.shape)
+    return values, rows, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(scattered_rows())
+def test_full_sums_equal_sums_of_the_dense_array(case):
+    # the sums over all n rows, zero rows included, as numpy sums the dense array
+    values, rows, n = case
+    dense = np.zeros(values.shape[:-1] + (n,))
+    dense[..., rows] = values
+    before = values.copy()
+    sums, squares = full_sums(values, rows, n, squares=True)
+    assert sums.tobytes() == dense.sum(axis=-1).tobytes()
+    assert squares.tobytes() == (dense**2).sum(axis=-1).tobytes()
+    assert full_sums(values, rows, n).tobytes() == sums.tobytes()
     assert values.tobytes() == before.tobytes()

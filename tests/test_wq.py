@@ -26,6 +26,7 @@ from localquant import (
     wq_cells,
     wq_interval,
 )
+from test_engine import dense_weights
 
 
 def sigma_oracle(ys, ws, p, theta):
@@ -217,10 +218,11 @@ def test_sigma_of_disjoint_cells_matches_dense_expression():
     data = make_data(rng, n=3000)
     specs = [LocalizationSpec(Kernel.BIWEIGHT, [c], [0.1]) for c in (0.15, 0.5, 0.85)]
     loc = localize(data, specs)
-    assert (loc.weights > 0.0).sum(axis=0).max() == 1  # no row in two windows
+    dense = dense_weights(loc)
+    assert (dense > 0.0).sum(axis=0).max() == 1  # no row in two windows
     sigmas = wq_cells(loc, QuantileSpec(0.3, 0.1, 0.05)).details["sigma_hat"]
     for k in range(len(specs)):
-        assert repr(sigmas[k].item()) == repr(dense_sigma(data.responses, loc.weights[k], 0.3))
+        assert repr(sigmas[k].item()) == repr(dense_sigma(data.responses, dense[k], 0.3))
 
 
 def test_sigma_of_replicates_matches_dense_expression():
