@@ -161,6 +161,31 @@ class Replicates:
         return self.covariates.shape[2]
 
 
+@dataclass(frozen=True, eq=False)
+class Localization:
+    """Kernel weights of C cells on one dataset of n rows, or on each of R replicates.
+
+    Only the rows `rows` are kept: `weights` is (C, m) or (R, C, m), [..., k, j]
+    the weight of row rows[j] in cell k, and `responses` is (m,) or (R, m),
+    [..., j] the response of row rows[j]; every other row has weight zero in
+    every cell. On a Dataset `rows` are the rows with positive weight in some
+    cell, in `first_column_index` order, so no array has n entries unless all
+    rows have weight; on Replicates they are all n rows in ascending order and
+    `responses` is the replicates' own array. `weight_sum`, `n_eff` and
+    `errors` are `weighted.weight_stats(weights, rows, n)`, one per cell.
+    All are read-only.
+    """
+
+    n: int
+    kernel_max: float
+    responses: np.ndarray
+    weights: np.ndarray
+    rows: np.ndarray
+    weight_sum: np.ndarray
+    n_eff: np.ndarray
+    errors: np.ndarray
+
+
 @dataclass(frozen=True)
 class QuantileSpec:
     """Quantile level and miscoverage split for an interval request.

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .base import Dataset, Replicates, _frozen_float_array, _read_only
+from .base import Dataset, Localization, Replicates, _frozen_float_array, _read_only
 from .errors import DimensionMismatch
 from .weighted import WeightedSample, weight_stats
 
@@ -117,31 +117,6 @@ class LocalizationSpec:
         return self.kernel.max_value ** self.dim
 
 
-@dataclass(frozen=True, eq=False)
-class Localization:
-    """Kernel weights of C cells on one dataset, or on each of R replicates.
-
-    `responses` is (n,) for a Dataset and (R, n) for Replicates; n is its last
-    axis. `weights` holds the weights of the rows `rows` only: (C, m) for a
-    Dataset and (R, C, m) for Replicates, entry [..., k, j] the weight of row
-    rows[j] in cell k; every row not in `rows` has weight zero in every cell.
-    On a Dataset `rows` are the rows with positive weight in some cell, in
-    `first_column_index` order (column 0 ascending, not row order), so no
-    array made here has n entries unless every row has weight; on Replicates
-    `rows` is every row in ascending order. `weight_sum`, `n_eff` and
-    `errors` are `weighted.weight_stats(weights, rows, n)`, one entry per
-    cell. Every array is read-only.
-    """
-
-    responses: np.ndarray
-    kernel_max: float
-    weights: np.ndarray
-    rows: np.ndarray
-    weight_sum: np.ndarray
-    n_eff: np.ndarray
-    errors: np.ndarray
-
-
 def localize(data: Dataset | Replicates, specs) -> Localization:
     """Kernel weights of every row of `data` for each spec (cell) in `specs`.
 
@@ -156,8 +131,8 @@ def localize(data: Dataset | Replicates, specs) -> Localization:
     overflows to infinity), so it gets exactly 0 there.
 
     On a Dataset only the span's rows with positive weight in some cell are
-    kept, in column-0 order, with their weights; the sums over all n rows are
-    taken from them by `weighted.full_sums`.
+    kept, in column-0 order, with their weights and responses; the sums over
+    all n rows are taken from them by `weighted.full_sums`.
     """
     specs = list(specs)
     if not specs:
@@ -195,12 +170,11 @@ def localize(data: Dataset | Replicates, specs) -> Localization:
         support = local.any(axis=0)
         # compress keeps the cells' rows contiguous, as numpy's sums need for their bits
         rows, weights = span[support], local.compress(support, axis=1)
+        responses = data.responses[rows]
     else:
-        rows, weights = np.arange(data.n), local
-    return Localization(
-        data.responses, specs[0].kernel_max, *_read_only(weights, rows),
-        *weight_stats(weights, rows, data.n),
-    )
+        rows, weights, responses = np.arange(data.n), local, data.responses
+    return Localization(data.n, specs[0].kernel_max, *_read_only(responses, weights, rows),
+                        *weight_stats(weights, rows, data.n))
 
 
 def localization_weights(data: Dataset, spec: LocalizationSpec) -> WeightedSample:

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Dataset, IntervalBatch, IntervalResult, QuantileSpec, _stable_argsort
+from .base import (Dataset, IntervalBatch, IntervalResult, Localization, QuantileSpec,
+                   _stable_argsort)
 from .errors import DomainError
-from .kernels import Localization, LocalizationSpec, localize
+from .kernels import LocalizationSpec, localize
 from .orderstat import subsample_quantile_cis
 from .rng import RngStream, stream_uniforms
 
@@ -54,7 +55,7 @@ def qr_cells(loc: Localization, q: QuantileSpec, streams) -> IntervalBatch:
     accept = _accepted(loc, streams)
     cols = np.flatnonzero(accept.any(axis=tuple(range(accept.ndim - 1))))
     ids = loc.rows[cols]
-    ys = loc.responses[..., ids]
+    ys = loc.responses[..., cols]
     order = _stable_argsort(ys, ids)
     members = np.take_along_axis(accept, cols[order][..., None, :], axis=-1)
     lower, upper, sizes = subsample_quantile_cis(

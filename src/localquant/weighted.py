@@ -9,14 +9,15 @@ values.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .base import _frozen_float_array, _read_only, _stable_argsort
-from .errors import AllWeightsZero, DomainError
+from .base import Localization, _frozen_float_array, _read_only, _stable_argsort
+from .errors import AllWeightsZero, DomainError, LocalQuantError
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,46 +53,55 @@ class WeightedSample:
         return self.responses.shape[0]
 
     @functools.cached_property
+    def _localization(self) -> Localization:
+        """This sample as a one-cell Localization of its positive-weight rows,
+        built on first use; `kernel_max` is the largest weight. The rows left
+        out add exactly 0.0 to every full-n sum and to the cumulative sum, and
+        the stable order of the others is their own, so no value changes."""
+        rows = np.flatnonzero(self.weights)
+        weights = self.weights[None, rows]
+        return Localization(len(self), float(weights.max(initial=0.0)),
+                            *_read_only(self.responses[rows], weights, rows),
+                            *weight_stats(weights, rows, len(self)))
+
+    def _one_cell(self, raising=LocalQuantError) -> Localization:
+        """`_localization`, after raising a fresh copy of its error if that is a `raising`."""
+        loc = self._localization
+        if isinstance(loc.errors[0], raising):
+            raise copy.copy(loc.errors[0])
+        return loc
+
+    @functools.cached_property
     def sorted_cdf(self) -> tuple[np.ndarray, np.ndarray]:
         """Responses in ascending order with cumulative normalized weights.
 
         The cumulative vector is self-normalized by its own final entry, so
         it is monotone and ends at exactly 1.0; both the CDF and the quantile
         inverse read from this one vector, which keeps them exactly
-        consistent with each other. Built on first use; raises AllWeightsZero
-        when there is no weight.
-
-        Only rows with positive weight are sorted. Dropping the zero-weight
-        rows changes no value either function returns: they add exactly 0.0
-        to the sequential cumulative sum, and the stable order among the
-        remaining rows is the same.
+        consistent with each other. Built on first use from the rows with
+        positive weight; raises AllWeightsZero when there is no weight.
         """
-        if self.weight_sum <= 0.0:
-            raise AllWeightsZero("all localization weights are zero")
-        rows = np.flatnonzero(self.weights)
-        resp, cum = sorted_cumulative(self.responses, self.weights[None, rows], rows)
+        loc = self._one_cell(AllWeightsZero)
+        resp, cum = sorted_cumulative(loc.responses, loc.weights, loc.rows)
         return _read_only(resp, cum[0])
 
 
 def sorted_cumulative(responses: np.ndarray, weights: np.ndarray, rows: np.ndarray):
-    """Responses of `rows` in ascending order, equal responses in row order,
-    and the cumulative normalized weights of each cell of `weights` in that
-    order.
+    """The (..., m) `responses` in ascending order, equal responses in the
+    order of their `rows`, and the cumulative normalized weights of each cell
+    of the (..., C, m) `weights` in that order; entry [..., j] of both belongs
+    to row rows[j], and each of R datasets is sorted on its own.
 
-    `responses` is (n,) with (C, m) `weights`, or (R, n) with (R, C, m)
-    `weights` for R datasets: weights[..., k, j] is the weight of row rows[j],
-    whatever order `rows` lists the rows in. Each dataset is sorted on its
-    own. A cell that is zero on some of `rows` adds exactly 0.0 there, and
-    this order restricted to its positive rows is their own order, so its
-    cumulative weights at those rows are the same bits as when only they are
-    sorted. Cells with no weight stay all zero.
+    A cell that is zero on some rows adds exactly 0.0 there, and this order
+    restricted to its positive rows is their own order, so its cumulative
+    weights there are the same bits as when only they are sorted. Cells with
+    no weight stay all zero.
     """
-    resp = responses[..., rows]
-    order = _stable_argsort(resp, rows)
+    order = _stable_argsort(responses, rows)
     cum = np.cumsum(np.take_along_axis(weights, order[..., None, :], axis=-1), axis=-1)
     last = cum[..., -1:]
     cum /= np.where(last > 0.0, last, 1.0)
-    return np.take_along_axis(resp, order, axis=-1), cum
+    return np.take_along_axis(responses, order, axis=-1), cum
 
 
 def sorted_lookup(resp: np.ndarray, cum: np.ndarray, levels) -> np.ndarray:
@@ -174,10 +184,7 @@ def weight_stats(weights: np.ndarray, rows: np.ndarray, n: int):
 def effective_sample_size(ws: WeightedSample) -> float:
     """(sum w)^2 / (sum w^2): the equivalent number of equally weighted rows.
 
-    Raises DomainError when sum w^2 underflows to zero (every weight below
-    about 1e-162), where the ratio is undefined in floating point.
+    Raises AllWeightsZero without weight, and DomainError when sum w^2
+    underflows to zero (every weight below about 1e-162).
     """
-    _, n_eff, errors = weight_stats(ws.weights[None, :], np.arange(len(ws)), len(ws))
-    if errors[0] is not None:
-        raise errors[0]
-    return float(n_eff[0])
+    return float(ws._one_cell().n_eff[0])

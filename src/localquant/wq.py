@@ -16,9 +16,9 @@ import warnings
 import numpy as np
 from scipy.special import ndtri
 
-from .base import Dataset, IntervalBatch, IntervalResult, QuantileSpec
+from .base import Dataset, IntervalBatch, IntervalResult, Localization, QuantileSpec
 from .errors import AllWeightsZero, DomainError, LowEffectiveSampleSizeWarning
-from .kernels import Localization, LocalizationSpec, localize
+from .kernels import LocalizationSpec, localize
 from .weighted import WeightedSample, full_sums, sorted_cumulative, sorted_lookup
 
 # below this effective sample size the normal calibration is unreliable
@@ -29,21 +29,19 @@ NEFF_GUIDELINE = 10.0
 _TINY_LEVEL = float(np.nextafter(0.0, 1.0))
 
 
-def _sigma_rows(weights: np.ndarray, sums, responses: np.ndarray, p: float, thetas, rows):
-    """sigma_hat_p of each cell of the (..., C, m) `weights` of the rows `rows`
-    of the (..., n) `responses`, whose sums over all n rows are `sums`, at
-    thetas[..., k]; NaN where the squared mean weight underflows to zero."""
+def _sigma_rows(loc: Localization, p: float, thetas):
+    """sigma_hat_p of each cell of `loc` at thetas[..., k], from the weights and
+    responses of its rows; NaN where the squared mean weight underflows to zero."""
     # (1{y <= theta} - p)**2 is exactly (1 - p)*(1 - p) or p*p, and numpy's
-    # **2 is x*x; a row outside `rows` has weight 0.0, so its term is the 0.0
+    # **2 is x*x; a row outside loc.rows has weight 0.0, so its term is the 0.0
     # that full_sums puts there
-    terms = weights**2 * np.where(
-        responses[..., None, rows] <= np.asarray(thetas)[..., None], (1.0 - p) * (1.0 - p), p * p
+    terms = loc.weights**2 * np.where(
+        loc.responses[..., None, :] <= np.asarray(thetas)[..., None], (1.0 - p) * (1.0 - p), p * p
     )
     # sums / n is np.mean bit for bit; Python's ** (C pow) differs from numpy's
     # x*x in the last bit for some x, and tests/data and perfbench/reference.json use **
-    n = responses.shape[-1]
-    nums = full_sums(terms, rows, n) / n
-    means = (np.asarray(sums) / n).ravel().tolist()
+    nums = full_sums(terms, loc.rows, loc.n) / loc.n
+    means = (loc.weight_sum / loc.n).ravel().tolist()
     dens = np.array([mean**2 for mean in means]).reshape(nums.shape)
     sigmas = np.full(nums.shape, math.nan)
     ok = dens != 0.0
@@ -63,12 +61,7 @@ def sigma_hat_p(ws: WeightedSample, p: float, theta_tilde: float) -> float:
         raise ValueError("p must lie in (0, 1)")
     if math.isnan(theta_tilde):
         raise DomainError("theta_tilde cannot be NaN")
-    if ws.weight_sum <= 0.0:
-        raise AllWeightsZero("all localization weights are zero")
-    rows = np.flatnonzero(ws.weights)
-    sigma = _sigma_rows(
-        ws.weights[None, rows], [ws.weight_sum], ws.responses, p, [theta_tilde], rows
-    )[0]
+    sigma = _sigma_rows(ws._one_cell(AllWeightsZero), p, [theta_tilde])[0]
     if math.isnan(sigma):
         raise DomainError("the squared mean localization weight underflows to zero")
     return float(sigma)
@@ -83,17 +76,16 @@ def wq_cells(loc: Localization, q: QuantileSpec) -> IntervalBatch:
     DomainError when its weights are too small for n_eff, sigma_hat or
     ordered levels. Emits no warnings.
     """
-    resp, weights = loc.responses, loc.weights
     shape = loc.weight_sum.shape
     errors = loc.errors.copy()
     if not loc.rows.size:  # no cell has weight
         nan = np.full(shape, math.nan)
         details = dict.fromkeys(("p_hat_lo", "p_hat_hi", "sigma_hat"), nan)
         return IntervalBatch("WQ", nan, nan, loc.n_eff, errors, details)
-    srt, cum = sorted_cumulative(resp, weights, loc.rows)
+    srt, cum = sorted_cumulative(loc.responses, loc.weights, loc.rows)
     thetas = sorted_lookup(srt, cum, np.full(shape, q.p))
-    sigmas = _sigma_rows(weights, loc.weight_sum, resp, q.p, thetas, loc.rows)
-    root_n = math.sqrt(resp.shape[-1])
+    sigmas = _sigma_rows(loc, q.p, thetas)
+    root_n = math.sqrt(loc.n)
     z_lo = float(ndtri(q.alpha1))
     z_hi = float(ndtri(1.0 - q.alpha + q.alpha1))
     # IEEE operations in the order of the scalar formula; -inf * 0.0 is NaN

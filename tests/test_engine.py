@@ -6,9 +6,12 @@ must reproduce the per-cell code of `interval_reference.py` bit for bit, and
 a cell must come out the same whether it is computed alone or with others.
 """
 
+import functools
+import importlib
 import io
 import math
 import pathlib
+import pkgutil
 import sys
 import traceback
 import tracemalloc
@@ -20,6 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import interval_reference as ref
+import localquant
 from localquant import (
     AllWeightsZero,
     Dataset,
@@ -33,6 +37,7 @@ from localquant import (
     TieIndices,
     WeightedSample,
     df_quantile_ci,
+    effective_sample_size,
     localization_weights,
     localize,
     qr_cells,
@@ -40,6 +45,7 @@ from localquant import (
     quantile_ci_indices,
     rejection_sample,
     run_experiment,
+    sigma_hat_p,
     write_summaries,
     weighted_cdf,
     weighted_quantile,
@@ -71,7 +77,7 @@ def outcome(fn, *args):
 def dense_weights(loc):
     """loc.weights as (..., C, n): each row's weights at its place in row
     order, zero at every row not in loc.rows."""
-    dense = np.zeros(loc.weights.shape[:-1] + loc.responses.shape[-1:])
+    dense = np.zeros(loc.weights.shape[:-1] + (loc.n,))
     dense[..., loc.rows] = loc.weights
     return dense
 
@@ -191,7 +197,9 @@ def check_layout(data, specs):
     loc = localize(data, specs)
     m = loc.rows.size
     assert loc.weights.shape == (len(specs), m)
-    assert loc.responses is data.responses
+    assert loc.n == data.n
+    assert loc.responses.tobytes() == data.responses[loc.rows].tobytes()
+    assert loc.responses.shape == (m,)
     assert np.unique(loc.rows).size == m
     assert np.all(loc.weights.max(axis=0, initial=0.0) > 0.0)
     assert np.array_equal(dense_weights(loc), [ref.weights(data, spec) for spec in specs])
@@ -321,9 +329,44 @@ def test_localization_weight_stats_match_reference(case):
     streams = [RngStream(seed).substream(k) for k in range(len(specs))]
     for batch in (wq_cells(loc, q), qr_cells(loc, q, streams)):
         assert np.array_equal(batch.n_eff, loc.n_eff)
-    for stored in (loc.weights, loc.rows, loc.weight_sum, loc.n_eff):
+    for stored in (loc.responses, loc.weights, loc.rows, loc.weight_sum, loc.n_eff):
         with pytest.raises(ValueError, match="read-only"):
             stored[0] = 1
+
+
+def helper_outcome(call):
+    """repr of the float call() returns, or the type of the error it raises."""
+    try:
+        return repr(float(call()))
+    except (AllWeightsZero, DomainError) as exc:
+        return type(exc)
+
+
+def engine_outcome(values, error):
+    """repr of values[0], or the type of `error` when there is one."""
+    return type(error) if error is not None else repr(values[0].item())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(cases(), underflow_cases()))
+def test_one_cell_helpers_match_the_engine(case):
+    # the WeightedSample helpers and wq_cells read the same one-cell localization
+    data, specs, q, _ = case
+    for spec in specs:
+        ws = localization_weights(data, spec)
+        loc = localize(data, [spec])
+        batch = wq_cells(loc, q)
+        assert helper_outcome(lambda: effective_sample_size(ws)) == engine_outcome(
+            loc.n_eff, loc.errors[0])
+        assert helper_outcome(
+            lambda: sigma_hat_p(ws, q.p, weighted_quantile(ws, q.p))
+        ) == engine_outcome(batch.details["sigma_hat"], batch.errors[0])
+        if batch.errors[0] is None:
+            # the levels clipped to (0, 1] as wq_cells clips them
+            for ends, level in ((batch.lower, "p_hat_lo"), (batch.upper, "p_hat_hi")):
+                p_hat = min(max(batch.details[level][0].item(), 5e-324), 1.0)
+                assert helper_outcome(lambda: weighted_quantile(ws, p_hat)) == engine_outcome(
+                    ends, None)
 
 
 def count_weight_stats(monkeypatch):
@@ -438,6 +481,20 @@ def test_threshold_cache_holds_integers_only():
     assert not hasattr(orderstat._binom_tables, "cache_info")
 
 
+def test_no_module_level_cache_but_the_threshold_cache():
+    # every other cache is per object, such as WeightedSample's one-cell localization
+    found = set()
+    for info in pkgutil.iter_modules(localquant.__path__, "localquant."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            members = vars(obj).items() if isinstance(obj, type) else ()
+            for label, value in [(name, obj), *((f"{name}.{m}", v) for m, v in members)]:
+                if hasattr(value, "cache_info"):
+                    found.add(f"{value.__module__}.{label}")
+    assert found == {"localquant.orderstat._ci_thresholds"}
+    assert isinstance(vars(WeightedSample)["_localization"], functools.cached_property)
+
+
 def test_preset_csv_matches_golden_file():
     # recorded with the per-cell code before the engine existed
     buf = io.StringIO(newline="")
@@ -473,6 +530,26 @@ def test_failed_cell_raises_a_fresh_error():
             traceback.extract_tb(first.__traceback__))
         assert type(last) is type(loc.errors[0]) and str(last) == str(loc.errors[0])
         assert last is not loc.errors[0] and loc.errors[0].__traceback__ is None
+
+
+def test_one_cell_helpers_raise_a_fresh_error():
+    # the cached one-cell localization of a sample keeps its error; each call
+    # raises a new exception of the same type and message
+    d = 13
+    tiny = Dataset(np.full((1, d), -(1.0 - 2.0**-53)), [1.0])  # the weight squares to 0
+    underflow = localization_weights(
+        tiny, LocalizationSpec(Kernel.TRIANGULAR, np.zeros(d), np.ones(d)))
+    empty = WeightedSample([1.0, 2.0], [0.0, 0.0])
+    assert weighted_quantile(underflow, 0.5) == 1.0
+    calls = [lambda ws: weighted_quantile(ws, 0.5), effective_sample_size,
+             lambda ws: sigma_hat_p(ws, 0.5, 1.0)]
+    for ws, helpers in ((empty, calls), (underflow, calls[1:])):
+        for helper in helpers:
+            first, second = caught(lambda: helper(ws)), caught(lambda: helper(ws))
+            assert first is not second
+            assert (type(first), str(first)) == (type(second), str(second))
+            assert len(traceback.extract_tb(second.__traceback__)) == len(
+                traceback.extract_tb(first.__traceback__))
 
 
 def bits(values):
