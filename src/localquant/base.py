@@ -24,20 +24,15 @@ def _frozen_float_array(values, ndim: int, name: str) -> np.ndarray:
     return _read_only(arr + 0.0)[0]
 
 
-def _stable_argsort(values: np.ndarray, ids: np.ndarray | None = None) -> np.ndarray:
-    """`np.lexsort((ids, values))` along the last axis of a NaN-free array:
-    ascending values, equal values in ascending order of `ids`, one distinct
-    nonnegative integer per position of the last axis. Without `ids` the
-    positions are the ids, which is `np.argsort(values, axis=-1, kind="stable")`.
-    Built from numpy's default (unstable) argsort, which is several times faster.
+def _stable_argsort(values: np.ndarray) -> np.ndarray:
+    """`np.argsort(values, axis=-1, kind="stable")` of a NaN-free array, built
+    from numpy's default (unstable) argsort, which is several times faster.
 
-    Equal values lie in runs of the default order; each run is put in id order
-    by one in-place sort of the distinct integer keys (run * k + id) * m +
-    position of the tied entries only, k one more than the largest id and m
-    the length of the last axis, whose remainders mod m are then the positions
-    (without `ids`, run * m + position). Runs are numbered across the whole
-    array, so the keys list them in the order they occupy. When the keys
-    would overflow int64, the tied entries are lexsorted by (run, id) instead.
+    Equal values lie in runs of the default order; each run is put back in
+    position order by one in-place sort of the distinct integer keys
+    run * m + position of the tied entries only, m the length of the last
+    axis, whose remainders mod m are then the positions. Runs are numbered
+    across the whole array, so the keys list them in the order they occupy.
     NaN equals nothing, so its runs would go undetected; every Dataset and
     Replicates array is finite.
     """
@@ -52,19 +47,8 @@ def _stable_argsort(values: np.ndarray, ids: np.ndarray | None = None) -> np.nda
     members = np.flatnonzero(after | before)
     runs = np.cumsum(~after[members]) - 1
     flat = order.reshape(-1)  # a view: argsort returns a new contiguous array
-    positions = flat[members]
     m = values.shape[-1]
-    if ids is None:
-        keys = runs * m + positions
-    else:
-        k = int(ids.max()) + 1
-        if (int(runs[-1]) + 1) * k * m > np.iinfo(np.int64).max:
-            flat[members] = positions[np.lexsort((ids[positions], runs))]
-            return order
-        keys = runs * k
-        keys += ids[positions]
-        keys *= m
-        keys += positions
+    keys = runs * m + flat[members]
     keys.sort()
     flat[members] = keys % m
     return order
@@ -126,10 +110,11 @@ class Dataset:
 
     @functools.cached_property
     def first_column_index(self) -> np.ndarray:
-        """Stable argsort of covariate column 0 (read-only), built on first use
-        and kept for the life of the dataset: `localize` binary-searches
-        column 0 with it as `sorter` instead of passing over every row."""
-        return _read_only(_stable_argsort(self.covariates[:, 0]))[0]
+        """An argsort of covariate column 0 (read-only), built on first use and
+        kept for the life of the dataset: `localize` binary-searches column 0
+        with it as `sorter` instead of passing over every row. The order of
+        tied entries reaches no result, since `localize` sorts the rows it finds."""
+        return _read_only(np.argsort(self.covariates[:, 0]))[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,12 +150,13 @@ class Replicates:
 class Localization:
     """Kernel weights of C cells on one dataset of n rows, or on each of R replicates.
 
-    Only the rows `rows` are kept: `weights` is (C, m) or (R, C, m), [..., k, j]
-    the weight of row rows[j] in cell k, and `responses` is (m,) or (R, m),
-    [..., j] the response of row rows[j]; every other row has weight zero in
-    every cell. On a Dataset `rows` are the rows with positive weight in some
-    cell, in `first_column_index` order, so no array has n entries unless all
-    rows have weight; on Replicates they are all n rows in ascending order and
+    Only the rows `rows`, in ascending order, are kept: `weights` is (C, m) or
+    (R, C, m), [..., k, j] the weight of row rows[j] in cell k, and `responses`
+    is (m,) or (R, m), [..., j] the response of row rows[j]; every other row has
+    weight zero in every cell. So a stable sort of the responses breaks ties
+    by row index, as the reference order of both methods does. On a Dataset
+    `rows` are the rows with positive weight in some cell, so no array has n
+    entries unless all rows have weight; on Replicates they are all n rows and
     `responses` is the replicates' own array. `weight_sum`, `n_eff` and
     `errors` are `weighted.weight_stats(weights, rows, n)`, one per cell.
     All are read-only.

@@ -14,6 +14,7 @@ import copy
 import csv
 import io
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -70,6 +71,9 @@ class ExperimentConfig:
     quantile_spec: QuantileSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("n", "n_sim", "master_seed"):
+            # numpy integers work, and a float raises TypeError here, before any work
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         object.__setattr__(self, "bandwidths", tuple(float(h) for h in self.bandwidths))
         object.__setattr__(self, "x0_points", tuple(float(x) for x in self.x0_points))
         object.__setattr__(self, "methods", tuple(m.upper() for m in self.methods))

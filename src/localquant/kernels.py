@@ -124,14 +124,15 @@ def localize(data: Dataset | Replicates, specs) -> Localization:
     the rows whose first covariate lies in one span, from the lowest lower
     end to the highest upper end of the cells' dimension-0 support windows,
     found by one binary search of column 0 in `data.first_column_index`
-    order; every other row has a zero factor in each cell's product kernel.
-    Replicates are evaluated on every row. Each cell is evaluated with the
-    same elementwise operations as a single cell, and a row outside a cell's
-    own window has |u| beyond the support radius in floating point (or u
-    overflows to infinity), so it gets exactly 0 there.
+    order and then put in ascending row order; every other row has a zero
+    factor in each cell's product kernel. Replicates are evaluated on every
+    row. Each cell is evaluated with the same elementwise operations as a
+    single cell, and a row outside a cell's own window has |u| beyond the
+    support radius in floating point (or u overflows to infinity), so it gets
+    exactly 0 there.
 
     On a Dataset only the span's rows with positive weight in some cell are
-    kept, in column-0 order, with their weights and responses; the sums over
+    kept, in ascending order, with their weights and responses; the sums over
     all n rows are taken from them by `weighted.full_sums`.
     """
     specs = list(specs)
@@ -158,7 +159,7 @@ def localize(data: Dataset | Replicates, specs) -> Localization:
         margin = np.maximum(_WINDOW_MARGIN * (np.abs(center) + half), _TINY_NORMAL)
         ends = (np.min(center - half - margin), np.max(center + half + margin))
         lo, hi = np.searchsorted(data.covariates[:, 0], ends, "right", sorter=order)
-        span = order[lo:hi]
+        span = np.sort(order[lo:hi])
     else:
         span = slice(None)
     with np.errstate(over="ignore"):

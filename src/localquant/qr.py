@@ -32,14 +32,15 @@ def _accepted(loc: Localization, streams) -> np.ndarray:
 
 
 def rejection_sample(data: Dataset, spec: LocalizationSpec, rng: RngStream) -> np.ndarray:
-    """Indices of rows accepted as i.i.d. draws from the localized law, ascending.
+    """Indices of rows accepted as i.i.d. draws from the localized law, ascending
+    as the rows of a localization are.
 
     Row i is judged by draw i of the stream, whatever the weights of the
     other rows, so the accepted set is invariant to any weight-pruning
     shortcut.
     """
     loc = localize(data, [spec])
-    return np.sort(loc.rows[_accepted(loc, [rng])[0]])
+    return loc.rows[_accepted(loc, [rng])[0]]
 
 
 def qr_cells(loc: Localization, q: QuantileSpec, streams) -> IntervalBatch:
@@ -50,13 +51,16 @@ def qr_cells(loc: Localization, q: QuantileSpec, streams) -> IntervalBatch:
     are sorted once per dataset, and the order-statistic CI of each cell is
     read from its own acceptance mask in that order. A cell without accepted
     rows gets the trivial interval; a cell fails only with the DomainError of
-    an underflowing n_eff, and a failed cell has NaN endpoints.
+    an underflowing n_eff, and a failed cell has NaN endpoints. Raises
+    ValueError unless `streams` has the shape of the cells.
     """
+    if np.shape(streams) != loc.weight_sum.shape:
+        raise ValueError(f"qr_cells needs one stream per cell, of shape {loc.weight_sum.shape}; "
+                         f"got streams of shape {np.shape(streams)}")
     accept = _accepted(loc, streams)
     cols = np.flatnonzero(accept.any(axis=tuple(range(accept.ndim - 1))))
-    ids = loc.rows[cols]
     ys = loc.responses[..., cols]
-    order = _stable_argsort(ys, ids)
+    order = _stable_argsort(ys)
     members = np.take_along_axis(accept, cols[order][..., None, :], axis=-1)
     lower, upper, sizes = subsample_quantile_cis(
         np.take_along_axis(ys, order, axis=-1), members, q.p, q.alpha1, q.alpha2

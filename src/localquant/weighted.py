@@ -82,22 +82,23 @@ class WeightedSample:
         positive weight; raises AllWeightsZero when there is no weight.
         """
         loc = self._one_cell(AllWeightsZero)
-        resp, cum = sorted_cumulative(loc.responses, loc.weights, loc.rows)
+        resp, cum = sorted_cumulative(loc.responses, loc.weights)
         return _read_only(resp, cum[0])
 
 
-def sorted_cumulative(responses: np.ndarray, weights: np.ndarray, rows: np.ndarray):
+def sorted_cumulative(responses: np.ndarray, weights: np.ndarray):
     """The (..., m) `responses` in ascending order, equal responses in the
-    order of their `rows`, and the cumulative normalized weights of each cell
-    of the (..., C, m) `weights` in that order; entry [..., j] of both belongs
-    to row rows[j], and each of R datasets is sorted on its own.
+    order of their positions, and the cumulative normalized weights of each
+    cell of the (..., C, m) `weights` in that order; each of R datasets is
+    sorted on its own. A localization's rows ascend, so its ties come out in
+    row order.
 
     A cell that is zero on some rows adds exactly 0.0 there, and this order
     restricted to its positive rows is their own order, so its cumulative
     weights there are the same bits as when only they are sorted. Cells with
     no weight stay all zero.
     """
-    order = _stable_argsort(responses, rows)
+    order = _stable_argsort(responses)
     cum = np.cumsum(np.take_along_axis(weights, order[..., None, :], axis=-1), axis=-1)
     last = cum[..., -1:]
     cum /= np.where(last > 0.0, last, 1.0)
@@ -134,7 +135,7 @@ def weighted_quantile(ws: WeightedSample, p: float) -> float:
 
 def full_sums(values: np.ndarray, rows: np.ndarray, n: int, squares: bool = False):
     """Sums over the last axis of the (..., n) array that holds the (..., m)
-    `values` at the distinct row indices `rows` and 0.0 at every other row;
+    `values` at the ascending row indices `rows` and 0.0 at every other row;
     with `squares`, also the sums of its squares.
 
     Each is numpy's sum of one whole n-length row of that array, so it has the
@@ -142,10 +143,10 @@ def full_sums(values: np.ndarray, rows: np.ndarray, n: int, squares: bool = Fals
     at a time in a single n-length buffer, which is squared in place for the
     second sum and freed on return; each row is written at every entry of
     `rows`, the only entries the previous row set, so the buffer needs no
-    clearing in between. When `rows` is every row in ascending order,
-    `values` is that array already and is summed as it is.
+    clearing in between. When `rows` is every row, `values` is that array
+    already and is summed as it is.
     """
-    if rows.size == n and np.all(rows[1:] > rows[:-1]):
+    if rows.size == n:
         sums = values.sum(axis=-1)
         # numpy's x**2 is x*x
         return (sums, (values * values).sum(axis=-1)) if squares else sums

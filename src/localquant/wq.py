@@ -82,7 +82,7 @@ def wq_cells(loc: Localization, q: QuantileSpec) -> IntervalBatch:
         nan = np.full(shape, math.nan)
         details = dict.fromkeys(("p_hat_lo", "p_hat_hi", "sigma_hat"), nan)
         return IntervalBatch("WQ", nan, nan, loc.n_eff, errors, details)
-    srt, cum = sorted_cumulative(loc.responses, loc.weights, loc.rows)
+    srt, cum = sorted_cumulative(loc.responses, loc.weights)
     thetas = sorted_lookup(srt, cum, np.full(shape, q.p))
     sigmas = _sigma_rows(loc, q.p, thetas)
     root_n = math.sqrt(loc.n)

@@ -163,9 +163,8 @@ def test_heavy_ties_at_large_n_match_reference():
 
 def test_reversed_column_order_with_heavy_ties_matches_reference():
     # column 0 descends as the row index ascends, so in every tie run of the
-    # responses (7 distinct values) column-0 order is the reverse of row order;
-    # the widest cell holds all of column 0, so its rows are all n rows, in
-    # column-0 order
+    # responses (7 distinct values) column-0 order is the reverse of row order,
+    # and the widest cell holds all of column 0; ties must still break by row
     rng = np.random.default_rng(31)
     n = 4000
     x = np.sort(rng.uniform(size=n))[::-1]
@@ -181,7 +180,7 @@ def test_reversed_column_order_with_heavy_ties_matches_reference():
         loc = localize(data, [spec])
         assert repr(float(loc.n_eff[0])) == repr(ref._n_eff(w))
         # tie runs in row order: the reference's cumulative weights, every entry
-        srt, cum = sorted_cumulative(loc.responses, loc.weights, loc.rows)
+        srt, cum = sorted_cumulative(loc.responses, loc.weights)
         want_srt, want_cum = ref._sorted(data.responses, w)
         assert (srt.tobytes(), cum[0].tobytes()) == (want_srt.tobytes(), want_cum.tobytes())
         stream = RngStream(5).substream(k)
@@ -193,14 +192,15 @@ def test_reversed_column_order_with_heavy_ties_matches_reference():
 
 def check_layout(data, specs):
     """A Dataset's localization keeps the rows with positive weight in some
-    cell, each once, with their weights; nothing else has n entries."""
+    cell, each once and in ascending order, with their weights; nothing else
+    has n entries."""
     loc = localize(data, specs)
     m = loc.rows.size
     assert loc.weights.shape == (len(specs), m)
     assert loc.n == data.n
     assert loc.responses.tobytes() == data.responses[loc.rows].tobytes()
     assert loc.responses.shape == (m,)
-    assert np.unique(loc.rows).size == m
+    assert np.all(loc.rows[1:] > loc.rows[:-1])
     assert np.all(loc.weights.max(axis=0, initial=0.0) > 0.0)
     assert np.array_equal(dense_weights(loc), [ref.weights(data, spec) for spec in specs])
     return loc
@@ -220,11 +220,10 @@ def test_localization_layout_edge_cases():
     with pytest.raises(AllWeightsZero):
         wq_interval(data, empty[0], q)
     check_cells(data, empty, q, 3)
-    # a window that holds all of column 0: m == n, rows in column-0 order
+    # a window that holds all of column 0: every row, in row order
     wide = [LocalizationSpec(Kernel.BIWEIGHT, [0.5], [3.0])]
     loc = check_layout(data, wide)
-    assert loc.rows.size == data.n
-    assert np.array_equal(loc.rows, data.first_column_index)
+    assert np.array_equal(loc.rows, np.arange(data.n))
     check_cells(data, wide, q, 3)
     # one row, in and out of the window
     one = Dataset([[0.5]], [2.0])
@@ -281,6 +280,7 @@ def test_replicate_axis_matches_one_dataset_at_a_time(case):
     covariates, responses, specs, q, seed = case
     keys = stream_keys(seed, range(len(responses) * len(specs))).reshape(len(responses), -1)
     loc = localize(Replicates(covariates, responses), specs)
+    assert np.array_equal(loc.rows, np.arange(responses.shape[1]))
     batches = wq_cells(loc, q), qr_cells(loc, q, keys)
     for r in range(len(responses)):
         one = localize(Dataset(covariates[r], responses[r]), specs)
@@ -458,6 +458,27 @@ def test_cells_must_share_a_kernel():
         localize(data, specs)
     with pytest.raises(ValueError):
         localize(data, [])
+
+
+def test_qr_cells_needs_one_stream_per_cell():
+    # one stream for three cells was broadcast to all of them, two raised
+    # numpy's broadcast error
+    x = np.linspace(0.0, 1.0, 41)
+    data = Dataset(x[:, None], np.round(np.sin(9.0 * x), 1))
+    specs = [LocalizationSpec(Kernel.TRIANGULAR, [c], [0.2]) for c in (0.2, 0.5, 0.8)]
+    q = QuantileSpec(0.5, 0.1, 0.05)
+    loc = localize(data, specs)
+    for count in (1, 2):
+        with pytest.raises(ValueError, match=rf"shape \(3,\); got streams of shape \({count},\)"):
+            qr_cells(loc, q, [RngStream(k) for k in range(count)])
+    replicates = Replicates(np.stack([data.covariates] * 2), np.stack([data.responses] * 2))
+    loc = localize(replicates, specs)
+    keys = stream_keys(1, range(6)).reshape(2, 3)
+    batch = qr_cells(loc, q, keys)
+    alone = qr_cells(localize(data, specs), q, keys[1])
+    assert cell_outcomes(alone) == [outcome(batch.result, (1, k)) for k in range(3)]
+    with pytest.raises(ValueError, match=r"shape \(2, 3\); got streams of shape \(3,\)"):
+        qr_cells(loc, q, keys[0])
 
 
 @settings(max_examples=300, deadline=None)

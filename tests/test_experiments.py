@@ -167,6 +167,17 @@ def test_config_rejects_bad_values_at_construction(change):
         dataclasses.replace(TINY, **change)
 
 
+@pytest.mark.parametrize("name", ["n", "n_sim", "master_seed"])
+def test_config_counts_are_integers(name):
+    # a float was accepted here and failed only inside run_experiment
+    with pytest.raises(TypeError):
+        dataclasses.replace(TINY, **{name: getattr(TINY, name) + 0.5})
+    with pytest.raises(TypeError):
+        dataclasses.replace(TINY, **{name: float(getattr(TINY, name))})
+    cfg = dataclasses.replace(TINY, **{name: np.int64(getattr(TINY, name))})
+    assert cfg == TINY and type(getattr(cfg, name)) is int
+
+
 def test_config_builds_its_specs_once():
     cfg = parse_config(CONFIG_TEXT)
     preset = PRESETS["paper-spikes-s1"]

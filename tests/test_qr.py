@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,9 +17,11 @@ from localquant import (
     WeightedSample,
     df_quantile_ci,
     localization_weights,
+    localize,
     qr_interval,
     rejection_sample,
 )
+from localquant.orderstat import subsample_quantile_cis
 
 Q = QuantileSpec(p=0.5, alpha=0.1, alpha1=0.05)
 
@@ -152,6 +156,83 @@ def test_accepted_distribution_matches_oracle():
 
     stat = stats.ks_2samp(np.asarray(accepted), ys)
     assert stat.pvalue > 0.01
+
+
+# a covariate on three points, whose triangular weights around 0 with h = 1
+# are the distinct 1, 3/4 and 1/2, and Y | X on {1, 2, 3}
+POINTS = (0.0, 0.25, 0.5)
+EXACT_SPEC = LocalizationSpec(Kernel.TRIANGULAR, [0.0], [1.0])
+# (P(X = x), and 8 * P(Y = 1, 2, 3 | X = x)) for each point
+EXACT_LAWS = [
+    ((Fraction(1, 2), Fraction(0), Fraction(1, 2)), ((4, 2, 2), (0, 0, 8), (0, 2, 6))),
+    ((Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)), ((1, 6, 1), (4, 0, 4), (0, 1, 7))),
+    ((Fraction(1, 8), Fraction(5, 8), Fraction(1, 4)), ((7, 1, 0), (6, 1, 1), (1, 1, 6))),
+    # the localized law puts 1/2 on 1 and the unweighted law 1/3, so at p = 1/2 and
+    # alpha1 = 0.07 intervals of rows kept whatever their weight miss theta = 1 too often
+    ((Fraction(1, 3), Fraction(0), Fraction(2, 3)), ((8, 0, 0), (0, 0, 8), (0, 2, 6))),
+]
+# criterion 5's (p, alpha1, alpha2), and wider ones whose intervals are finite at n <= 4
+EXACT_LEVELS = [(0.5, 0.05, 0.05), (0.25, 0.1, 0.0), (0.7, 0.0, 0.1), (0.5, 0.13, 0.02),
+                (0.5, 0.2, 0.2), (0.3, 0.35, 0.1), (0.6, 0.1, 0.3), (0.5, 0.07, 0.0)]
+
+
+def localized_quantile(law, p):
+    """The p-quantile of sum_x P(x) K(x) P(Y <= y | x) / sum_x P(x) K(x), exactly."""
+    p_x, cond = law
+    mass = [px * (1 - Fraction(x)) for px, x in zip(p_x, POINTS)]
+    cdf = Fraction(0)
+    for y in (1, 2, 3):
+        cdf += sum(m * Fraction(c[y - 1], 8) for m, c in zip(mass, cond)) / sum(mass)
+        if cdf >= Fraction(p):
+            return y
+
+
+def test_qr_pipeline_exact_small_n_validity():
+    """QR's coverage, summed exactly over every dataset of n <= 4 rows and every
+    acceptance pattern, is at least 1 - alpha1 - alpha2 at each n.
+
+    Each dataset goes through `localize`, and its 2**n acceptance patterns go
+    through `subsample_quantile_cis` at once, as 2**n cells. A pattern has the
+    probability prod_i (w_i / K_max if row i is accepted, else 1 - w_i / K_max),
+    with w_i the weight `localize` gives row i. The patterns take the place of
+    the uniform draws, so this checks the acceptance rule's probabilities, not
+    the random streams. The rows of a localization ascend, so bit j of a
+    pattern is row j.
+    """
+    thetas = np.array([1.0, 2.0, 3.0])
+    for n in range(1, 5):
+        accepted = (np.arange(2**n)[:, None] >> np.arange(n)) & 1 == 1
+        all_ys = np.array(list(itertools.product((1, 2, 3), repeat=n)))
+        coverage = np.full((len(EXACT_LAWS), len(EXACT_LEVELS)), Fraction(0))
+        for xs in itertools.product(range(len(POINTS)), repeat=n):
+            covariates = np.array(POINTS)[list(xs), None]
+            locs = [localize(Dataset(covariates, ys), [EXACT_SPEC]) for ys in all_ys]
+            assert all(loc.rows.tolist() == list(range(n)) for loc in locs)
+            accept = [Fraction(w) / Fraction(locs[0].kernel_max) for w in locs[0].weights[0]]
+            assert all(loc.weights.tobytes() == locs[0].weights.tobytes() for loc in locs)
+            den = math.lcm(*(a.denominator for a in accept))
+            num = np.array([int(a * den) for a in accept])
+            # den**n times the probability of each pattern
+            pattern_weight = np.prod(np.where(accepted, num, den - num), axis=1)
+            values = np.array([loc.responses for loc in locs])
+            order = np.argsort(values, axis=-1, kind="stable")
+            members = np.take_along_axis(accepted[None], order[:, None, :], axis=-1)
+            srt = np.take_along_axis(values, order, axis=-1)
+            for c, (p, a1, a2) in enumerate(EXACT_LEVELS):
+                lower, upper, _ = subsample_quantile_cis(srt, members, p, a1, a2)
+                holds = (lower[..., None] <= thetas) & (thetas <= upper[..., None])
+                # (den**n times) the probability that each dataset's interval holds each theta
+                hits = np.einsum("p,dpt->dt", pattern_weight, holds.astype(np.int64))
+                for law_index, law in enumerate(EXACT_LAWS):
+                    p_x, cond = law
+                    # 8**n times the probability of each response vector given xs
+                    ys_weight = np.prod(np.array(cond)[list(xs), all_ys - 1], axis=1)
+                    total = int(ys_weight @ hits[:, localized_quantile(law, p) - 1])
+                    coverage[law_index, c] += (math.prod(p_x[i] for i in xs)
+                                               * Fraction(total, (8 * den) ** n))
+        for law_index, c in itertools.product(range(len(EXACT_LAWS)), range(len(EXACT_LEVELS))):
+            _, a1, a2 = EXACT_LEVELS[c]
+            assert coverage[law_index, c] >= 1 - Fraction(a1) - Fraction(a2), (n, law_index, c)
 
 
 def test_dataset_stores_unsigned_zero():
