@@ -24,9 +24,10 @@ def _frozen_float_array(values, ndim: int, name: str) -> np.ndarray:
     return _read_only(arr + 0.0)[0]
 
 
-def _stable_argsort(values: np.ndarray) -> np.ndarray:
-    """`np.argsort(values, axis=-1, kind="stable")` of a NaN-free array, built
-    from numpy's default (unstable) argsort, which is several times faster.
+def _stable_sort(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`order = np.argsort(values, axis=-1, kind="stable")` of a NaN-free array and
+    the sorted values `np.take_along_axis(values, order, axis=-1)`, bit for bit,
+    built from numpy's default (unstable) argsort, which is several times faster.
 
     Equal values lie in runs of the default order; each run is put back in
     position order by one in-place sort of the distinct integer keys
@@ -40,7 +41,7 @@ def _stable_argsort(values: np.ndarray) -> np.ndarray:
     srt = np.take_along_axis(values, order, axis=-1)
     tied = srt[..., 1:] == srt[..., :-1]
     if not tied.any():
-        return order
+        return order, srt
     edge = np.zeros(tied.shape[:-1] + (1,), dtype=bool)
     after = np.concatenate((edge, tied), axis=-1).ravel()  # equals the entry before
     before = np.concatenate((tied, edge), axis=-1).ravel()  # equals the entry after
@@ -51,7 +52,8 @@ def _stable_argsort(values: np.ndarray) -> np.ndarray:
     keys = runs * m + flat[members]
     keys.sort()
     flat[members] = keys % m
-    return order
+    # equal values may differ in bits (-0.0 and 0.0), so gather them in the new order
+    return order, np.take_along_axis(values, order, axis=-1)
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:

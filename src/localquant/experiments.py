@@ -189,8 +189,12 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[CellSumma
     chunk is bounded whatever n_sim is, and `workers` threads share the
     chunks. Deterministic for a fixed config: replicates use independent
     counter-based streams, so neither the chunks nor the worker count change
-    any result.
+    any result. Raises TypeError unless `workers` is an integer, and
+    ValueError when it is below 1.
     """
+    workers = operator.index(workers)
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     thetas = np.array([true_theta(config.model, spec, config.p) for spec in config.specs])
     stats = _study_stats(config, thetas, workers)
 

@@ -30,7 +30,6 @@ _TINY_NORMAL = float(np.finfo(float).tiny)
 # rejection sampling stays valid
 _GAUSS_RADIUS = 5.0
 _GAUSS_NORM = 2.0 * ndtr(_GAUSS_RADIUS) - 1.0
-_GAUSS_PEAK = 1.0 / math.sqrt(2.0 * math.pi) / _GAUSS_NORM
 
 
 class Kernel(enum.Enum):
@@ -52,12 +51,7 @@ class Kernel(enum.Enum):
     @property
     def max_value(self) -> float:
         """sup_u K(u), attained at u = 0."""
-        return {
-            Kernel.TRIANGULAR: 1.0,
-            Kernel.BIWEIGHT: 15.0 / 16.0,
-            Kernel.UNIFORM: 0.5,
-            Kernel.GAUSSIAN: _GAUSS_PEAK,
-        }[self]
+        return self.evaluate(0.0)
 
     @property
     def support_radius(self) -> float:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import (Dataset, IntervalBatch, IntervalResult, Localization, QuantileSpec,
-                   _stable_argsort)
+                   _stable_sort)
 from .errors import DomainError
 from .kernels import LocalizationSpec, localize
 from .orderstat import subsample_quantile_cis
@@ -22,7 +22,7 @@ from .rng import RngStream, stream_uniforms
 
 def _accepted(loc: Localization, streams) -> np.ndarray:
     """(..., C, m) mask over loc.rows: U_i <= w_i / kernel_max for draw i of
-    the stream of each cell; `streams` has one stream (or uint64 key) per cell.
+    the stream of each cell; `streams` has one stream (or integer key) per cell.
 
     A zero-weight row is never kept, since every draw is positive, so only
     the draws of loc.rows are computed.
@@ -46,8 +46,8 @@ def rejection_sample(data: Dataset, spec: LocalizationSpec, rng: RngStream) -> n
 def qr_cells(loc: Localization, q: QuantileSpec, streams) -> IntervalBatch:
     """Quantile Rejection intervals of every cell of `loc`; cell k draws from streams[k].
 
-    `streams` is a sequence of RngStream, one per cell, or a uint64 array of
-    stream keys with the shape of the cells. The rows accepted by some cell
+    `streams` holds one RngStream per cell, in (nested) sequences with the
+    shape of the cells, or is an integer array of stream keys of that shape. The rows accepted by some cell
     are sorted once per dataset, and the order-statistic CI of each cell is
     read from its own acceptance mask in that order. A cell without accepted
     rows gets the trivial interval; a cell fails only with the DomainError of
@@ -59,12 +59,9 @@ def qr_cells(loc: Localization, q: QuantileSpec, streams) -> IntervalBatch:
                          f"got streams of shape {np.shape(streams)}")
     accept = _accepted(loc, streams)
     cols = np.flatnonzero(accept.any(axis=tuple(range(accept.ndim - 1))))
-    ys = loc.responses[..., cols]
-    order = _stable_argsort(ys)
+    order, ys = _stable_sort(loc.responses[..., cols])
     members = np.take_along_axis(accept, cols[order][..., None, :], axis=-1)
-    lower, upper, sizes = subsample_quantile_cis(
-        np.take_along_axis(ys, order, axis=-1), members, q.p, q.alpha1, q.alpha2
-    )
+    lower, upper, sizes = subsample_quantile_cis(ys, members, q.p, q.alpha1, q.alpha2)
     errors = loc.errors.copy()
     for cell in zip(*np.nonzero(np.not_equal(errors, None))):
         if not isinstance(errors[cell], DomainError):

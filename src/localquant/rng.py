@@ -105,8 +105,9 @@ def _keys_of_ids(master_seed: int, ids: np.ndarray) -> np.ndarray:
 def stream_uniforms(streams, idx) -> np.ndarray:
     """Draws `idx` of several streams at once, of shape keys.shape + idx.shape.
 
-    `streams` is a sequence of RngStream or a uint64 array of their keys;
-    entry [k, ...] is streams[k].uniforms_at(idx).
+    `streams` is a sequence, or nested sequences, of RngStream, or an integer
+    array of their keys (signed keys wrap modulo 2**64; any other dtype raises
+    TypeError); entry [k, ...] is streams[k].uniforms_at(idx).
     """
     idx = np.asarray(idx)
     if idx.dtype.kind not in "iu":
@@ -114,9 +115,12 @@ def stream_uniforms(streams, idx) -> np.ndarray:
     if idx.dtype.kind == "i" and idx.size and idx.min() < 0:
         raise ValueError("draw indices must be nonnegative")
     if isinstance(streams, np.ndarray):
+        if streams.dtype.kind not in "iu":
+            raise TypeError(f"stream keys must be integers, got dtype {streams.dtype}")
         keys = streams.astype(np.uint64, copy=False)
     else:
-        keys = np.array([s.key for s in streams], dtype=np.uint64)
+        streams = np.asarray(streams, dtype=object)
+        keys = np.array([s.key for s in streams.flat], dtype=np.uint64).reshape(streams.shape)
     keys = keys.reshape(keys.shape + (1,) * idx.ndim)
     # counters wrap modulo 2**64, as uint64 arithmetic does
     counters = keys + np.uint64(_GOLDEN) * (idx.astype(np.uint64, copy=False) + np.uint64(1))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import Localization, _frozen_float_array, _read_only, _stable_argsort
+from .base import Localization, _frozen_float_array, _read_only, _stable_sort
 from .errors import AllWeightsZero, DomainError, LocalQuantError
 
 
@@ -98,11 +98,11 @@ def sorted_cumulative(responses: np.ndarray, weights: np.ndarray):
     weights there are the same bits as when only they are sorted. Cells with
     no weight stay all zero.
     """
-    order = _stable_argsort(responses)
+    order, srt = _stable_sort(responses)
     cum = np.cumsum(np.take_along_axis(weights, order[..., None, :], axis=-1), axis=-1)
     last = cum[..., -1:]
     cum /= np.where(last > 0.0, last, 1.0)
-    return np.take_along_axis(responses, order, axis=-1), cum
+    return srt, cum
 
 
 def sorted_lookup(resp: np.ndarray, cum: np.ndarray, levels) -> np.ndarray:

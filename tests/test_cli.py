@@ -252,6 +252,30 @@ def test_qr_without_seed_is_usage_error(sample_csv, capsys):
     assert exc.value.code == 2
 
 
+WQ_QUERY = ["--x-cols", "x", "--y-col", "y", "--x0", "0.5", "--h", "0.2", "--method", "wq"]
+
+
+@pytest.mark.parametrize("data, argv, code, message", [
+    ("sample", WQ_QUERY + ["--p", "1.5"], 2, "p must lie in (0, 1)"),
+    ("sample", WQ_QUERY + ["--alpha", "0.1", "--alpha1", "0.2"], 2, "alpha1 must lie in [0, alpha]"),
+    ("sample", WQ_QUERY[2:], 2, "--x-cols is required"),
+    ("sample", WQ_QUERY[:4] + WQ_QUERY[8:], 2, "--x0 and --h are required"),
+    ("empty", WQ_QUERY, 3, "empty file"),
+])
+def test_ci_input_errors_exit_codes(sample_csv, tmp_path, capsys, data, argv, code, message):
+    path = sample_csv[0]
+    if data == "empty":
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+    try:
+        got = main(["ci", "--data", str(path), *argv])
+    except SystemExit as exc:  # argparse's usage error
+        got = exc.code
+    captured = capsys.readouterr()
+    assert (got, captured.out) == (code, "")
+    assert message in captured.err
+
+
 def test_missing_file_is_data_error(capsys):
     code, _, err = run_cli(capsys, ["ci", "--data", "/nonexistent.csv", "--x-cols", "x",
                                     "--y-col", "y", "--x0", "0.5", "--h", "0.2",

@@ -77,6 +77,18 @@ def test_deterministic_across_workers():
     assert one == two == four
 
 
+@pytest.mark.parametrize("workers, error", [
+    (0, ValueError), (-1, ValueError), (2.5, TypeError), (np.int64(2), None),
+])
+def test_workers_must_be_a_positive_integer(workers, error):
+    cfg = dataclasses.replace(PRESETS["quick-spikes-s1"], n_sim=3)
+    if error is None:
+        assert run_experiment(cfg, workers=workers) == run_experiment(cfg)
+    else:
+        with pytest.raises(error):
+            run_experiment(cfg, workers=workers)
+
+
 def test_deterministic_rerun():
     assert run_experiment(TINY) == run_experiment(TINY)
 
@@ -165,6 +177,12 @@ def test_config_validation():
 def test_config_rejects_bad_values_at_construction(change):
     with pytest.raises(ValueError):
         dataclasses.replace(TINY, **change)
+
+
+@pytest.mark.parametrize("name", ["n", "n_sim"])
+def test_config_counts_must_be_positive(name):
+    with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+        dataclasses.replace(TINY, **{name: 0})
 
 
 @pytest.mark.parametrize("name", ["n", "n_sim", "master_seed"])

@@ -57,6 +57,36 @@ def test_bounds_and_symmetry(kernel):
     assert kernel.evaluate(0.0) == kernel.max_value
 
 
+# LocalizationSpec(kernel, zeros(d), ones(d)).kernel_max for d = 1..13, as float.hex:
+# QR accepts row i with probability w_i / kernel_max, so these bits reach every QR output
+KERNEL_MAX_HEX = {
+    Kernel.TRIANGULAR: ["0x1.0000000000000p+0"] * 13,
+    Kernel.BIWEIGHT: [
+        "0x1.e000000000000p-1", "0x1.c200000000000p-1", "0x1.a5e0000000000p-1",
+        "0x1.8b82000000000p-1", "0x1.72c9e00000000p-1", "0x1.5b9d420000000p-1",
+        "0x1.45e36de000000p-1", "0x1.3185370200000p-1", "0x1.1e6ce391e0000p-1",
+        "0x1.0c861558c2000p-1", "0x1.f77b68066bc00p-2", "0x1.d803b18605040p-2",
+        "0x1.ba83766da4b3cp-2",
+    ],
+    Kernel.UNIFORM: [f"0x1.0000000000000p-{d}" for d in range(1, 14)],
+    Kernel.GAUSSIAN: [
+        "0x1.988462968e944p-2", "0x1.45f31f5adbd9ap-3", "0x1.0412046dde9d7p-4",
+        "0x1.9f0334813c8b0p-6", "0x1.4b21dc942c1f9p-7", "0x1.08349a43cbb6cp-8",
+        "0x1.a59c76bb1ca6ep-10", "0x1.5065b222a40b7p-11", "0x1.0c6804f1ea38dp-12",
+        "0x1.ac5094e1c65bfp-14", "0x1.55bef5e3aba7ap-15", "0x1.10ac88fadca96p-16",
+        "0x1.b31ffc48da6dap-18",
+    ],
+}
+
+
+@pytest.mark.parametrize("kernel", ALL_KERNELS, ids=[k.value for k in ALL_KERNELS])
+def test_kernel_max_bits_and_bound(kernel):
+    got = [LocalizationSpec(kernel, np.zeros(d), np.ones(d)).kernel_max.hex() for d in range(1, 14)]
+    assert got == KERNEL_MAX_HEX[kernel]
+    u = np.linspace(-6.0, 6.0, 120_001)  # includes u = 0 and both support ends
+    assert np.all(kernel.evaluate(u) <= kernel.max_value)
+
+
 @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=[k.value for k in ALL_KERNELS])
 def test_integrates_to_one(kernel):
     r = kernel.support_radius
@@ -153,6 +183,15 @@ def test_subnormal_weights_flush_to_zero():
     spec = LocalizationSpec(Kernel.BIWEIGHT, [0.0] * d, [1.0] * d)
     ws = localization_weights(data, spec)
     assert ws.weights[0] == 0.0
+
+
+@pytest.mark.parametrize("center, bandwidths, message", [
+    ([], [], "at least one dimension"),
+    ([[0.5]], [[0.1]], "1-dimensional"),
+])
+def test_spec_needs_one_dimension_or_more(center, bandwidths, message):
+    with pytest.raises(ValueError, match=message):
+        LocalizationSpec(Kernel.TRIANGULAR, center, bandwidths)
 
 
 def test_spec_validation():

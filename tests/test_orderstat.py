@@ -323,3 +323,17 @@ def test_exhaustive_coverage_five_support_points():
             for p in (0.3, 0.5):
                 cov = enumerate_coverage(probs, n, p, a1, a2)
                 assert cov >= bound, (probs, n, p, float(cov))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: TieIndices.from_sorted([]), "at least one value"),
+    (lambda: quantile_ci_indices(0, TieIndices.from_sorted([1.0]), 0.5, 0.05, 0.05),
+     "n must be at least 1"),
+    (lambda: quantile_ci_indices(3, TieIndices.from_sorted([1.0, 2.0, 3.0]), 0.5, -0.1, 0.05),
+     "alpha1 and alpha2 must lie"),
+    (lambda: df_quantile_ci(np.ones((2, 2)), 0.5, 0.05, 0.05), "nonempty 1-d"),
+    (lambda: df_quantile_ci([], 0.5, 0.05, 0.05), "nonempty 1-d"),
+], ids=["no-ties", "n-zero", "alpha-negative", "df-2d", "df-empty"])
+def test_orderstat_rejects_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -13,11 +13,13 @@ from localquant import (
     Kernel,
     LocalizationSpec,
     QuantileSpec,
+    Replicates,
     RngStream,
     WeightedSample,
     df_quantile_ci,
     localization_weights,
     localize,
+    qr_cells,
     qr_interval,
     rejection_sample,
 )
@@ -326,3 +328,24 @@ def test_signed_zeros_give_the_endpoints_of_unsigned_ones():
             assert endpoints(qr_interval(Dataset(x, signed), spec, q, RngStream(trial))) == (
                 endpoints(qr_interval(Dataset(x, y), spec, q, RngStream(trial)))
             )
+
+
+def test_qr_cells_reads_nested_streams_and_integer_keys_only():
+    rng = np.random.default_rng(8)
+    data = Replicates(rng.uniform(size=(2, 50, 1)), rng.normal(size=(2, 50)))
+    specs = [LocalizationSpec(Kernel.TRIANGULAR, [x0], [0.3]) for x0 in (0.3, 0.6)]
+    loc, q = localize(data, specs), QuantileSpec(0.5, 0.1, 0.05)
+    streams = [[RngStream(5, 2 * r + k) for k in range(2)] for r in range(2)]
+    keys = np.array([[s.key for s in row] for row in streams], dtype=np.uint64)
+    want = qr_cells(loc, q, keys)
+    assert want.details["accepted"].min() > 0
+    # nested sequences of streams, and signed keys, which wrap modulo 2**64
+    for same in (streams, keys.view(np.int64)):
+        got = qr_cells(loc, q, same)
+        for name in ("lower", "upper"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert got.details["accepted"].tolist() == want.details["accepted"].tolist()
+    # a float key, even an integral one, is not a key
+    for floats in (np.array([[1.5, 2.0], [3.0, 4.0]]), np.ones((2, 2))):
+        with pytest.raises(TypeError, match="integers"):
+            qr_cells(loc, q, floats)

@@ -300,3 +300,15 @@ def test_kernel_window_clipped_to_unit_interval():
     assert 0.0 < val < 1.0
     theta = true_theta(model, spec, 0.5)
     assert 0.0 < theta < 1.5
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Signal.from_name("nope"), ValueError, "unknown signal"),
+    (lambda: NoiseSetting.from_number(4), ValueError, "unknown noise setting"),
+    (lambda: true_theta(SyntheticModel(Signal.SPIKES, NoiseSetting.from_number(1)),
+                        LocalizationSpec(Kernel.TRIANGULAR, [2.0], [0.1]), 0.5),
+     DomainError, "does not intersect"),
+], ids=["signal", "setting", "window-outside"])
+def test_synthetic_rejects_bad_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

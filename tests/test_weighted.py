@@ -16,7 +16,7 @@ from localquant import (
     weighted_cdf,
     weighted_quantile,
 )
-from localquant.base import _stable_argsort
+from localquant.base import _stable_sort
 from localquant.weighted import full_sums
 
 
@@ -249,11 +249,21 @@ def sort_inputs(draw):
 @example(np.array([[-0.0, 0.0, -0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]))
 def test_stable_argsort_equals_numpy_stable_sort(values):
     before = values.copy()
-    got = _stable_argsort(values)
+    got, srt = _stable_sort(values)
     want = np.argsort(values, axis=-1, kind="stable")
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
+    assert srt.tobytes() == np.take_along_axis(values, want, axis=-1).tobytes()
     assert values.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("responses, weights, message", [
+    ([1.0, 2.0], [1.0], "equal length"),
+    ([], [], "at least one row"),
+])
+def test_weighted_sample_rejects_bad_shapes(responses, weights, message):
+    with pytest.raises(ValueError, match=message):
+        WeightedSample(responses, weights)
 
 
 @st.composite

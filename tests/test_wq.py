@@ -17,10 +17,12 @@ from localquant import (
     LowEffectiveSampleSizeWarning,
     QuantileSpec,
     Replicates,
+    RngStream,
     WeightedSample,
     effective_sample_size,
     localization_weights,
     localize,
+    qr_cells,
     sigma_hat_p,
     weighted_quantile,
     wq_cells,
@@ -178,6 +180,34 @@ def test_underflowing_weights_raise_domain_error():
         sigma_hat_p(ws, 0.5, 1.0)
     with pytest.raises(DomainError, match="underflow"):
         wq_interval(data, spec, QuantileSpec(0.5, 0.1, 0.05))
+
+
+@pytest.mark.parametrize("zero_rows, q, message", [
+    (999, QuantileSpec(0.5, 0.1, 0.05), "squared mean localization weight underflows"),
+    (0, QuantileSpec(0.999, 0.1, 0.0), "WQ levels are not ordered"),
+    (0, QuantileSpec(0.999, 0.1, 0.1), "WQ levels are not ordered"),
+])
+def test_wq_cells_fails_without_a_plug_in_variance(zero_rows, q, message):
+    # one row at u = 1 - 2**-53 of a 10-d triangular kernel has weight
+    # (2**-53)**10 = 2.85e-160 and n_eff 1. Among 999 zero-weight rows its mean
+    # weight squares to 0; alone, sigma_hat's numerator w**2 (1 - p)**2 is 0,
+    # and sigma_hat = 0 times z = -inf (alpha1 = 0) or +inf (alpha1 = alpha) is NaN
+    d = 10
+    x = np.vstack([np.full((1, d), -(1.0 - 2.0**-53)), np.full((zero_rows, d), 5.0)])
+    data = Dataset(x, np.arange(1.0 + zero_rows))
+    spec = LocalizationSpec(Kernel.TRIANGULAR, np.zeros(d), np.ones(d))
+    loc = localize(data, [spec])
+    assert loc.weights[0, 0] == pytest.approx(2.85e-160, rel=1e-2) and loc.n_eff[0] == 1.0
+    batch = wq_cells(loc, q)
+    assert np.isnan(batch.lower[0]) and np.isnan(batch.upper[0])
+    assert all(np.isnan(values[0]) for values in batch.details.values())
+    with pytest.raises(DomainError, match=message):
+        batch.result(0)
+    with pytest.raises(DomainError, match=message):
+        wq_interval(data, spec, q)
+    # QR keeps the row with probability 2.85e-160 and returns the trivial interval
+    qr = qr_cells(loc, q, [RngStream(1)]).result(0)
+    assert (qr.lower, qr.upper, qr.accepted) == (-math.inf, math.inf, 0)
 
 
 def test_sigma_mean_weight_underflow():
