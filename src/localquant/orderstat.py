@@ -20,7 +20,9 @@ from scipy.special import gammaln
 
 from .base import IntervalResult, _read_only
 from .errors import DomainError
-from .weighted import sorted_lookup
+
+_EPS = float(np.finfo(float).eps)
+_UNDERFLOW = 2.0**-1073  # twice the smallest subnormal
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,8 +54,9 @@ def _binom_tables(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
     """(cdf, sf) for Binomial(n, p): cdf[k] = P(B <= k), sf[k] = P(B >= k).
 
     Terms are computed in log space and each tail is accumulated from its own
-    small end, so small tail probabilities keep full relative accuracy. Both
-    tables are monotone, since each is a running sum of nonnegative terms.
+    small end, so a small tail keeps the relative accuracy of its terms, which
+    the cancelling log-gamma terms limit (`_table_error`). Both tables are
+    monotone, since each is a running sum of nonnegative terms.
     """
     k = np.arange(n + 1, dtype=float)
     log_pmf = (
@@ -69,20 +72,74 @@ def _binom_tables(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
     return cdf, sf
 
 
+def _table_error(n: int, p: float) -> float:
+    """A bound on the relative error of the entries of `_binom_tables(n, p)` that
+    do not underflow: 8 eps times the magnitude of the log terms, which cancel,
+    plus one eps per term of the running sum. Against exact tails at n up to
+    5000 and p from 0.01 to 0.999 the error stayed below 0.62 / 8 of it; it
+    is 1.1e-13 at n = 10 and 7e-8 at n = 1e6 (p = 1/2)."""
+    logs = 3.0 * float(gammaln(n + 1.0)) + n * max(-math.log(p), -math.log1p(-p))
+    return 8.0 * _EPS * (logs + n + 2.0)
+
+
+def _exact_cdf_at_most(n: int, a: int, d: int, k: int, alpha: float) -> bool:
+    """Whether P(Binomial(n, a / d) <= k) <= alpha, in integer arithmetic: the
+    tail is the sum of the terms comb(n, j) a**j (d - a)**(n - j) over d**n."""
+    term = total = (d - a) ** n
+    for j in range(1, k + 1):
+        term = term * (n - j + 1) * a // (j * (d - a))  # exact: the next term
+        total += term
+    num, den = float(alpha).as_integer_ratio()
+    return total * den <= num * d**n
+
+
+def _count_at_most(tails: np.ndarray, alpha: float, error: float, at_most) -> int:
+    """How many of the ascending float `tails` stand for exact tails <= alpha.
+
+    Entry i stands for an exact tail, strictly increasing in i, to within the
+    relative `error`, and to within len(tails) * 2**-1073 more where its
+    terms underflow; at_most(i) tells whether that exact tail is <= alpha.
+    An entry farther from alpha than its error decides its own comparison;
+    the few between are bisected with at_most, whose cost grows with n times
+    the bits of p. At alpha = 0 the count is 0: every exact tail is
+    positive, even one whose table entry is 0.0.
+    """
+    if alpha == 0.0:
+        return 0
+    slack = tails.shape[0] * _UNDERFLOW
+    lo = int(np.searchsorted(tails, (alpha - slack) / (1.0 + error), side="right"))
+    hi = int(np.searchsorted(tails, (alpha + slack) / (1.0 - error), side="right"))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if at_most(mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 @lru_cache(maxsize=4096)
 def _ci_thresholds(n: int, p: float, alpha1: float, alpha2: float) -> tuple[int, int]:
     """(L, U) with P(B(n,p) < i) <= alpha1 iff i <= L and P(B(n,p) >= j) <= alpha2
     iff j >= U, for 1 <= i, j <= n; an empty sample (n = 0) gets (0, 1).
 
-    Exact because both tables are monotone; only the two integers are kept,
-    so the cache stays small at any n.
+    Exact for p and the alphas as the binary fractions they are: both tables
+    are monotone, as the exact tails are, and `_count_at_most` decides in
+    exact arithmetic the entries the floats cannot. Only the two integers
+    are kept, so the cache stays small at any n.
     """
     cdf, sf = _binom_tables(n, p)
-    return int(np.count_nonzero(cdf[:n] <= alpha1)), int(np.count_nonzero(sf > alpha2))
+    error, (a, d) = _table_error(n, p), float(p).as_integer_ratio()
+    lower = _count_at_most(cdf[:n], alpha1, error,
+                           lambda i: _exact_cdf_at_most(n, a, d, i, alpha1))
+    # sf[n - i] = P(B >= n - i) = P(B' <= i) for B' ~ Binomial(n, 1 - p)
+    upper = _count_at_most(sf[n:0:-1], alpha2, error,
+                           lambda i: _exact_cdf_at_most(n, d - a, d, i, alpha2))
+    return lower, n + 1 - upper
 
 
 def binom_cdf(n: int, p: float, k: int) -> float:
-    """P(Binomial(n, p) <= k), accurate to ~1e-15 relative.
+    """P(Binomial(n, p) <= k), to within the relative `_table_error(n, p)`.
 
     Out-of-range k is clamped: k < 0 gives 0, k >= n gives 1. n and k must
     be integers (Python or numpy); a float raises TypeError.
@@ -152,41 +209,37 @@ def ci_ranks(i_min, i_max, sizes, p: float, alpha1: float, alpha2: float):
     return l_hat, u_hat
 
 
-def subsample_quantile_cis(values, members, p: float, alpha1: float, alpha2: float):
-    """Distribution-free CIs for the p-th quantile of subsamples of sorted samples.
+def sorted_quantile_cis(values, sizes, p: float, alpha1: float, alpha2: float):
+    """Distribution-free CIs for the p-th quantile of many sorted i.i.d. samples.
 
-    `values` is (..., m), sorted ascending along the last axis, and cell k of
-    the (..., C, m) boolean `members` marks the rows of i.i.d. subsample k of
-    its sample. Returns the arrays (lower, upper, sizes) of shape (..., C);
-    an empty subsample gets the trivial interval (-inf, inf).
+    Sample k is values[k, :sizes[k]] of the (..., m) `values`, ascending, with
+    +inf after it; `sizes` has the shape (...). Returns the arrays (lower,
+    upper); an empty sample gets the trivial interval (-inf, inf).
 
-    Within a subsample the rank of each member is the running count of
-    members, so the members of a tie run have ranks from one more than the
-    count before the run's first position (its i_min, read there) to the
-    count at its last position (its i_max, read there). Every other position
-    carries the sentinels i_max = 0 and i_min = size + 1, which the threshold
-    search of `ci_ranks` already admits, so no position depends on another.
+    The entry at position j of a sample has rank j + 1, so a tie run's i_min
+    and i_max are the ranks where adjacent values change or the sample ends.
+    Every position outside a sample carries the sentinels i_max = 0 and
+    i_min = size + 1, which the threshold search of `ci_ranks` already admits.
+    The endpoints are read by rank from the samples padded with -inf before
+    and +inf after.
     """
-    shape = members.shape[:-1]
-    if members.shape[-1] == 0:
-        return np.full(shape, -math.inf), np.full(shape, math.inf), np.zeros(shape, dtype=int)
-    ranks = np.cumsum(members, axis=-1)
-    sizes = ranks[..., -1]
+    sizes = np.asarray(sizes)
+    size = sizes[..., None]
+    if values.shape[-1] == 0:  # one column of padding keeps the searches nonempty
+        values = np.full(sizes.shape + (1,), math.inf)
+    ranks = np.arange(1, values.shape[-1] + 1)
+    inside = ranks <= size
     change = values[..., 1:] != values[..., :-1]
-    edge = np.ones(values.shape[:-1] + (1,), dtype=bool)
-    first = np.concatenate((edge, change), axis=-1)[..., None, :]
-    last = np.concatenate((change, edge), axis=-1)[..., None, :]
-    i_max = np.where(last, ranks, 0)
-    i_min = np.where(first, ranks - members + 1, sizes[..., None] + 1)
-    l_hat, u_hat = ci_ranks(i_min, i_max, sizes, p, alpha1, alpha2)
-    # the member of rank r sits where the running count first reaches r
-    lower = sorted_lookup(values, ranks, l_hat)
-    upper = sorted_lookup(values, ranks, u_hat)
-    return (
-        np.where(l_hat > 0, lower, -math.inf),
-        np.where(u_hat <= sizes, upper, math.inf),
-        sizes,
-    )
+    first = inside.copy()
+    first[..., 1:] &= change
+    last = ranks == size
+    last[..., :-1] |= change & inside[..., :-1]
+    l_hat, u_hat = ci_ranks(np.where(first, ranks, size + 1), np.where(last, ranks, 0),
+                            sizes, p, alpha1, alpha2)
+    pad = np.full(values.shape[:-1] + (1,), math.inf)
+    padded = np.concatenate((-pad, values, pad), axis=-1)
+    ends = np.take_along_axis(padded, np.stack((l_hat, u_hat), axis=-1), axis=-1)
+    return ends[..., 0], ends[..., 1]
 
 
 def df_quantile_ci(ys, p: float, alpha1: float, alpha2: float) -> IntervalResult:
@@ -201,9 +254,7 @@ def df_quantile_ci(ys, p: float, alpha1: float, alpha2: float) -> IntervalResult
     n = ys.shape[0]
     values = ys + 0.0  # one sign of zero, as in every Dataset array
     values.sort()
-    lower, upper, _ = subsample_quantile_cis(
-        values, np.ones((1, n), dtype=bool), p, alpha1, alpha2
-    )
+    lower, upper = sorted_quantile_cis(values[None], [n], p, alpha1, alpha2)
     return IntervalResult(
         lower=float(lower[0]), upper=float(upper[0]), method="DFQ", n_eff=float(n)
     )

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import (Dataset, IntervalBatch, IntervalResult, Localization, QuantileSpec,
-                   _stable_sort)
+from .base import Dataset, IntervalBatch, IntervalResult, Localization, QuantileSpec
 from .errors import DomainError
 from .kernels import LocalizationSpec, localize
-from .orderstat import subsample_quantile_cis
+from .orderstat import sorted_quantile_cis
 from .rng import RngStream, stream_uniforms
 
 
@@ -47,21 +46,24 @@ def qr_cells(loc: Localization, q: QuantileSpec, streams) -> IntervalBatch:
     """Quantile Rejection intervals of every cell of `loc`; cell k draws from streams[k].
 
     `streams` holds one RngStream per cell, in (nested) sequences with the
-    shape of the cells, or is an integer array of stream keys of that shape. The rows accepted by some cell
-    are sorted once per dataset, and the order-statistic CI of each cell is
-    read from its own acceptance mask in that order. A cell without accepted
-    rows gets the trivial interval; a cell fails only with the DomainError of
-    an underflowing n_eff, and a failed cell has NaN endpoints. Raises
-    ValueError unless `streams` has the shape of the cells.
+    shape of the cells, or is an integer array of stream keys of that shape.
+    Each cell's accepted responses are sorted as a sample of their own, and
+    the cell's interval is the distribution-free CI of that sample, as
+    `df_quantile_ci` gives it. A cell without accepted rows gets the trivial
+    interval; a cell fails only with the DomainError of an underflowing n_eff,
+    and a failed cell has NaN endpoints. Raises ValueError unless `streams`
+    has the shape of the cells.
     """
     if np.shape(streams) != loc.weight_sum.shape:
         raise ValueError(f"qr_cells needs one stream per cell, of shape {loc.weight_sum.shape}; "
                          f"got streams of shape {np.shape(streams)}")
     accept = _accepted(loc, streams)
-    cols = np.flatnonzero(accept.any(axis=tuple(range(accept.ndim - 1))))
-    order, ys = _stable_sort(loc.responses[..., cols])
-    members = np.take_along_axis(accept, cols[order][..., None, :], axis=-1)
-    lower, upper, sizes = subsample_quantile_cis(ys, members, q.p, q.alpha1, q.alpha2)
+    sizes = np.count_nonzero(accept, axis=-1)
+    # only values are read, and every Dataset and Replicates array holds one sign
+    # of zero, so the default sort gives the bits of a stable one
+    ys = np.sort(np.where(accept, loc.responses[..., None, :], np.inf), axis=-1)
+    lower, upper = sorted_quantile_cis(ys[..., :sizes.max(initial=0)], sizes,
+                                       q.p, q.alpha1, q.alpha2)
     errors = loc.errors.copy()
     for cell in zip(*np.nonzero(np.not_equal(errors, None))):
         if not isinstance(errors[cell], DomainError):

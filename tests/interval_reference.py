@@ -7,10 +7,12 @@ reference for the engine tests; not collected by pytest.
 
 from __future__ import annotations
 
+import decimal
+import itertools
 import math
 
 import numpy as np
-from scipy.special import gammaln, ndtri
+from scipy.special import ndtri
 
 from localquant import (
     AllWeightsZero,
@@ -99,20 +101,29 @@ def wq(data, spec, q):
 
 
 def binom_tables(n, p):
-    k = np.arange(n + 1, dtype=float)
-    log_pmf = (
-        gammaln(n + 1.0)
-        - gammaln(k + 1.0)
-        - gammaln(n - k + 1.0)
-        + k * math.log(p)
-        + (n - k) * math.log1p(-p)
-    )
-    pmf = np.exp(log_pmf)
-    return np.cumsum(pmf), np.cumsum(pmf[::-1])[::-1]
+    """(cdf, sf) for Binomial(n, p): cdf[k] = P(B <= k), sf[k] = P(B >= k), as
+    object arrays of 100-digit Decimals.
+
+    Each term comes from the one before, and each tail is summed from its own
+    end. A Decimal does not underflow and compares with a float exactly, so a
+    threshold read from these tables is the exact one unless a tail lies
+    within about 1e-95 of a level without equalling it. At a short binary p
+    such as 1/2 or 1/4 every term and sum is exact at the n of the tests, so
+    a level equal to a tail is decided exactly too.
+    """
+    with decimal.localcontext(prec=100):
+        q = decimal.Decimal(p)
+        terms = [(1 - q) ** n]
+        for j in range(n):
+            terms.append(terms[-1] * (n - j) * q / ((j + 1) * (1 - q)))
+        cdf = list(itertools.accumulate(terms))
+        sf = list(itertools.accumulate(terms[::-1]))[::-1]
+    return np.array(cdf, dtype=object), np.array(sf, dtype=object)
 
 
 def ci_indices(n, ties, p, alpha1, alpha2):
-    """(l_hat, u_hat) read from the full binomial tables at every tie index."""
+    """(l_hat, u_hat) read from the full binomial tables at every tie index, in
+    exact comparisons with the levels."""
     cdf, sf = binom_tables(n, p)
     below = np.concatenate(([0.0], cdf[ties.i_max - 1]))
     l_hat = int(np.flatnonzero(below <= alpha1).max())

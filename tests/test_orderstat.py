@@ -11,6 +11,7 @@ from scipy import stats
 from localquant import (DomainError, QuantileSpec, TieIndices, binom_cdf, df_quantile_ci,
                         quantile_ci_indices)
 from localquant import orderstat
+from localquant.orderstat import sorted_quantile_cis
 
 
 def binom_cdf_oracle(n, p, k):
@@ -337,3 +338,124 @@ def test_exhaustive_coverage_five_support_points():
 def test_orderstat_rejects_bad_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def exact_thresholds(n, p, alpha1, alpha2, cdf=None):
+    """(L, U) of `_ci_thresholds` from exact tails: L counts the i in 1..n with
+    P(B < i) <= alpha1, and U is the least j in 1..n with P(B >= j) <= alpha2, or
+    n + 1. `cdf` holds P(B <= k) for k < n, if already computed."""
+    cdf = cdf or [binom_cdf_oracle(n, p, k) for k in range(n)]
+    lower = sum(cdf[i - 1] <= Fraction(alpha1) for i in range(1, n + 1))
+    upper = min([j for j in range(1, n + 1) if 1 - cdf[j - 1] <= Fraction(alpha2)] + [n + 1])
+    return lower, upper
+
+
+def test_thresholds_where_the_float_tails_cannot_decide():
+    # a tail that underflows to 0.0 is still positive, so it is never <= 0
+    assert orderstat._ci_thresholds(2000, 0.5, 0.0, 0.05)[0] == 0
+    assert orderstat._ci_thresholds(400, 0.9, 0.0, 0.05)[0] == 0
+    assert orderstat._ci_thresholds(2000, 0.5, 0.05, 0.0)[1] == 2001
+    # P(B(3, 1/2) <= 0) = 1/8 exactly, which the table rounds one ulp high
+    assert orderstat._ci_thresholds(3, 0.5, 0.125, 0.0) == (1, 4)
+    assert orderstat._ci_thresholds(1, 0.1, 0.0, 0.1) == exact_thresholds(1, 0.1, 0.0, 0.1) == (0, 1)
+
+
+@pytest.mark.parametrize("p", [0.25, 0.5])
+def test_thresholds_at_every_exact_tail_and_its_neighbours(p):
+    for n in range(1, 31):
+        cdf = [binom_cdf_oracle(n, p, k) for k in range(n)]
+        tails = {float(t) for t in cdf} | {float(1 - t) for t in cdf}
+        levels = {a for t in tails for a in (t, math.nextafter(t, 0.0), math.nextafter(t, 1.0))}
+        for alpha in sorted(a for a in levels if a < 1.0):
+            for alpha1, alpha2 in ((alpha, alpha), (alpha, 0.0), (0.0, alpha)):
+                got = orderstat._ci_thresholds(n, p, alpha1, alpha2)
+                assert got == exact_thresholds(n, p, alpha1, alpha2, cdf), (n, alpha1, alpha2)
+
+
+def test_df_ci_is_one_sided_at_a_zero_level():
+    ys = np.arange(2000.0)
+    lower_only = df_quantile_ci(ys, 0.5, 0.0, 0.05)
+    assert lower_only.lower == -math.inf and math.isfinite(lower_only.upper)
+    upper_only = df_quantile_ci(ys, 0.5, 0.05, 0.0)
+    assert math.isfinite(upper_only.lower) and upper_only.upper == math.inf
+
+
+def padded(samples, width):
+    """Each sample sorted into a row of `width` entries, +inf after it, and the sizes."""
+    values = np.full((len(samples), width), math.inf)
+    for k, sample in enumerate(samples):
+        values[k, :len(sample)] = np.sort(sample)
+    return values, [len(sample) for sample in samples]
+
+
+def one_sample_ci(sample, p, alpha1, alpha2):
+    """(lower, upper) of one sample from `quantile_ci_indices` and its tie indices."""
+    n = len(sample)
+    if n == 0:
+        return -math.inf, math.inf
+    srt = np.sort(sample)
+    l_hat, u_hat = quantile_ci_indices(n, TieIndices.from_sorted(srt), p, alpha1, alpha2)
+    return (-math.inf if l_hat == 0 else srt[l_hat - 1],
+            math.inf if u_hat == n + 1 else srt[u_hat - 1])
+
+
+def straddling_runs(n, p, alpha1, alpha2):
+    """n ascending values whose tie runs cover ranks L - 1..L + 1 and U - 1..U + 1."""
+    lower, upper = orderstat._ci_thresholds(n, p, alpha1, alpha2)
+    ranks = np.arange(1, n + 1)
+    run = np.cumsum(~(((ranks >= lower) & (ranks <= lower + 1))
+                      | ((ranks >= upper) & (ranks <= upper + 1))))
+    return run.astype(float)
+
+
+@pytest.mark.parametrize("p, alpha1, alpha2", [
+    (0.5, 0.05, 0.05), (0.5, 0.0, 0.05), (0.5, 0.05, 0.0), (0.3, 0.1, 0.02), (0.8, 0.0, 0.0),
+])
+def test_sorted_quantile_cis_match_one_sample_indices(p, alpha1, alpha2):
+    rng = np.random.default_rng(8)
+    samples = [
+        [],
+        rng.normal(size=40),  # as wide as the array
+        [2.5] * 17,
+        straddling_runs(40, p, alpha1, alpha2),
+        straddling_runs(25, p, alpha1, alpha2),
+        np.round(rng.normal(size=31), 1),
+        [-1.0],
+    ]
+    for width in (40, 41):
+        values, sizes = padded(samples, width)
+        lower, upper = sorted_quantile_cis(values, sizes, p, alpha1, alpha2)
+        for k, sample in enumerate(samples):
+            assert (lower[k], upper[k]) == one_sample_ci(sample, p, alpha1, alpha2), (width, k)
+        # the same samples as a (2, 7) batch, the second row reversed
+        batch = np.stack((values, values[::-1]))
+        sizes2 = np.stack((sizes, sizes[::-1]))
+        lower2, upper2 = sorted_quantile_cis(batch, sizes2, p, alpha1, alpha2)
+        assert np.array_equal(lower2, np.stack((lower, lower[::-1])))
+        assert np.array_equal(upper2, np.stack((upper, upper[::-1])))
+    # the runs do straddle the thresholds inside the sample
+    ties = TieIndices.from_sorted(straddling_runs(40, p, alpha1, alpha2))
+    for rank in orderstat._ci_thresholds(40, p, alpha1, alpha2):
+        if 1 < rank < 40:
+            assert ties.i_min[rank - 1] < rank < ties.i_max[rank - 1]
+
+
+def test_sorted_quantile_cis_read_a_sample_end_without_a_change_of_value():
+    # L = n = 2 at these levels, so the last run's i_max counts, and it must be
+    # read where the sample ends: at the end of the row, or at +inf values
+    # followed by the +inf padding
+    samples = [[1.0, 2.0], [1.0, math.inf], [math.inf, math.inf], [2.0]]
+    for width in (2, 3):
+        values, sizes = padded(samples, width)
+        lower, upper = sorted_quantile_cis(values, sizes, 0.5, 0.75, 0.25)
+        for k, sample in enumerate(samples):
+            assert (lower[k], upper[k]) == one_sample_ci(sample, 0.5, 0.75, 0.25), (width, k)
+    assert orderstat._ci_thresholds(2, 0.5, 0.75, 0.25) == (2, 2)
+
+
+def test_sorted_quantile_cis_of_empty_samples_only():
+    for width in (0, 3):
+        lower, upper = sorted_quantile_cis(np.full((2, 3, width), math.inf), np.zeros((2, 3), int),
+                                           0.5, 0.05, 0.05)
+        assert lower.shape == upper.shape == (2, 3)
+        assert np.all(lower == -math.inf) and np.all(upper == math.inf)

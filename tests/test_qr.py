@@ -23,7 +23,10 @@ from localquant import (
     qr_interval,
     rejection_sample,
 )
-from localquant.orderstat import subsample_quantile_cis
+from localquant.orderstat import sorted_quantile_cis
+from localquant.rng import stream_keys
+
+import interval_reference as ref
 
 Q = QuantileSpec(p=0.5, alpha=0.1, alpha1=0.05)
 
@@ -193,12 +196,13 @@ def test_qr_pipeline_exact_small_n_validity():
     """QR's coverage, summed exactly over every dataset of n <= 4 rows and every
     acceptance pattern, is at least 1 - alpha1 - alpha2 at each n.
 
-    Each dataset goes through `localize`, and its 2**n acceptance patterns go
-    through `subsample_quantile_cis` at once, as 2**n cells. A pattern has the
-    probability prod_i (w_i / K_max if row i is accepted, else 1 - w_i / K_max),
-    with w_i the weight `localize` gives row i. The patterns take the place of
-    the uniform draws, so this checks the acceptance rule's probabilities, not
-    the random streams. The rows of a localization ascend, so bit j of a
+    Each dataset goes through `localize`, and the accepted responses of its 2**n
+    acceptance patterns go through `sorted_quantile_cis` at once, as 2**n sorted
+    samples with +inf after them. A pattern has the probability
+    prod_i (w_i / K_max if row i is accepted, else 1 - w_i / K_max), with w_i
+    the weight `localize` gives row i. The patterns take the place of the
+    uniform draws, so this checks the acceptance rule's probabilities, not the
+    random streams. The rows of a localization ascend, so bit j of a
     pattern is row j.
     """
     thetas = np.array([1.0, 2.0, 3.0])
@@ -217,11 +221,10 @@ def test_qr_pipeline_exact_small_n_validity():
             # den**n times the probability of each pattern
             pattern_weight = np.prod(np.where(accepted, num, den - num), axis=1)
             values = np.array([loc.responses for loc in locs])
-            order = np.argsort(values, axis=-1, kind="stable")
-            members = np.take_along_axis(accepted[None], order[:, None, :], axis=-1)
-            srt = np.take_along_axis(values, order, axis=-1)
+            srt = np.sort(np.where(accepted, values[:, None, :], np.inf), axis=-1)
+            sizes = np.broadcast_to(accepted.sum(axis=1), srt.shape[:-1])
             for c, (p, a1, a2) in enumerate(EXACT_LEVELS):
-                lower, upper, _ = subsample_quantile_cis(srt, members, p, a1, a2)
+                lower, upper = sorted_quantile_cis(srt, sizes, p, a1, a2)
                 holds = (lower[..., None] <= thetas) & (thetas <= upper[..., None])
                 # (den**n times) the probability that each dataset's interval holds each theta
                 hits = np.einsum("p,dpt->dt", pattern_weight, holds.astype(np.int64))
@@ -349,3 +352,39 @@ def test_qr_cells_reads_nested_streams_and_integer_keys_only():
     for floats in (np.array([[1.5, 2.0], [3.0, 4.0]]), np.ones((2, 2))):
         with pytest.raises(TypeError, match="integers"):
             qr_cells(loc, q, floats)
+
+
+def test_qr_is_one_sided_at_a_zero_level():
+    # every row is accepted, so QR is DFQ of all 2000 responses
+    rng = np.random.default_rng(3)
+    data = Dataset(rng.uniform(0.4, 0.6, size=(2000, 1)), rng.normal(size=2000))
+    spec = LocalizationSpec(Kernel.UNIFORM, [0.5], [0.5])
+    lower_only = qr_interval(data, spec, QuantileSpec(0.5, 0.1, 0.0), RngStream(7))
+    upper_only = qr_interval(data, spec, QuantileSpec(0.5, 0.1, 0.1), RngStream(7))
+    assert lower_only.accepted == upper_only.accepted == 2000
+    assert lower_only.lower == -math.inf and math.isfinite(lower_only.upper)
+    assert math.isfinite(upper_only.lower) and upper_only.upper == math.inf
+    assert endpoints(lower_only) == endpoints(df_quantile_ci(data.responses, 0.5, 0.0, 0.1))
+    assert endpoints(upper_only) == endpoints(df_quantile_ci(data.responses, 0.5, 0.1, 0.0))
+
+
+def test_qr_cells_of_replicates_with_an_empty_and_a_full_cell():
+    # a uniform kernel weighs each row of its support K_max, so QR keeps those
+    # rows: none in cell 0, which has no support, and all in cell 2, whose
+    # interval is then DFQ of the replicate
+    rng = np.random.default_rng(12)
+    x, y = rng.uniform(size=(2, 60, 1)), np.round(rng.normal(size=(2, 60)), 1)
+    specs = [LocalizationSpec(Kernel.UNIFORM, [c], [h]) for c, h in ((5.0, 0.1), (0.3, 0.2),
+                                                                     (0.5, 1.0))]
+    batch = qr_cells(localize(Replicates(x, y), specs), Q, stream_keys(3, range(6)).reshape(2, 3))
+    accepted = batch.details["accepted"]
+    assert accepted[:, 0].tolist() == [0, 0] and accepted[:, 2].tolist() == [60, 60]
+    assert np.all((0 < accepted[:, 1]) & (accepted[:, 1] < 60))
+    for r in range(2):
+        data = Dataset(x[r], y[r])
+        for k, spec in enumerate(specs):
+            got, want = batch.result((r, k)), ref.qr(data, spec, Q, RngStream(3, 3 * r + k))
+            assert endpoints(got) == endpoints(want) and got.accepted == want.accepted
+        assert endpoints(batch.result((r, 0))) == (repr(-math.inf), repr(math.inf))
+        assert endpoints(batch.result((r, 2))) == endpoints(
+            df_quantile_ci(y[r], Q.p, Q.alpha1, Q.alpha2))
