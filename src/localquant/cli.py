@@ -8,7 +8,8 @@ Subcommands:
 
 All numeric results equal the corresponding library calls bit for bit; the
 CLI only parses arguments, loads data, and serializes. Exit codes: 2 usage
-errors, 3 data errors, 4 when every localization weight is zero.
+errors, 3 data errors, 4 when every localization weight is zero, 141 (128 +
+SIGPIPE) when the reader of stdout goes away, with no message.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .wq import _warn_low_neff, wq_cells
 _EXIT_USAGE = 2
 _EXIT_DATA = 3
 _EXIT_NO_WEIGHT = 4
+_EXIT_BROKEN_PIPE = 141
 
 
 def load_csv(path: str, x_columns: list[str], y_column: str, normalize: bool = False) -> Dataset:
@@ -433,14 +435,18 @@ def _cmd_indist(args, parser: argparse.ArgumentParser) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    command = {"ci": _cmd_ci, "simulate": _cmd_simulate, "target": _cmd_target,
+               "indist": _cmd_indist}[args.command]
     try:
-        if args.command == "ci":
-            return _cmd_ci(args, parser)
-        if args.command == "simulate":
-            return _cmd_simulate(args, parser)
-        if args.command == "target":
-            return _cmd_target(args, parser)
-        return _cmd_indist(args, parser)
+        status = command(args, parser)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # what is still buffered goes to devnull, so the final flush is silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _EXIT_BROKEN_PIPE
     except AllWeightsZero as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_NO_WEIGHT

@@ -644,11 +644,14 @@ def test_indist_default(capsys):
     assert rec["mixture_weight"] == pytest.approx(0.51, rel=1e-12)
 
 
-def _run_python(*args, text=True):
+def _python_env():
     src = os.path.dirname(os.path.dirname(localquant.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def _run_python(*args, text=True):
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=text, timeout=120
+        [sys.executable, *args], env=_python_env(), capture_output=True, text=text, timeout=120
     )
 
 
@@ -677,3 +680,31 @@ def test_cli_import_leaves_out_scipy_optimize():
     # every CLI call pays for its imports; the oracle's bisection is in-repo
     proc = _run_python("-c", "import sys, localquant.cli; print('scipy.optimize' in sys.modules)")
     assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
+def test_closed_stdout_pipe_exits_141_quietly(tmp_path):
+    # as `localquant ci ... | head -1`: the reader takes one line and goes
+    # while about 500 kB of records are still to come
+    rng = np.random.default_rng(7)
+    path = tmp_path / "data.csv"
+    write_csv(path, ["x", "y"], rng.uniform(0, 1, size=(300, 2)).tolist())
+    centers = [f"--x0={c}" for c in np.linspace(0.1, 0.9, 1000).tolist()]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "localquant.cli", "ci", "--data", str(path), "--x-cols", "x",
+         "--y-col", "y", "--h", "0.2", "--seed", "1", *centers],
+        env=_python_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert json.loads(proc.stdout.readline())["x0"] == [0.1]
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), stderr) == (141, b"")
+
+
+def test_closed_stdout_pipe_in_process(monkeypatch, sample_csv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as out:
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["ci", "--data", sample_csv[0], "--y-col", "y", "--method", "dfq"]) == 141
+        print("more", file=out)  # the pipe's descriptor now leads to devnull

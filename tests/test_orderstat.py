@@ -1,6 +1,7 @@
 import math
+from bisect import bisect_right
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -370,6 +371,88 @@ def test_thresholds_at_every_exact_tail_and_its_neighbours(p):
             for alpha1, alpha2 in ((alpha, alpha), (alpha, 0.0), (0.0, alpha)):
                 got = orderstat._ci_thresholds(n, p, alpha1, alpha2)
                 assert got == exact_thresholds(n, p, alpha1, alpha2, cdf), (n, alpha1, alpha2)
+
+
+def exact_tails(n, p):
+    """(lower, upper, scale): P(B <= k) = lower[k] / scale and P(B >= k) =
+    upper[k] / scale for k = 0..n, all integers, with p = a / d exactly."""
+    a, d = p.as_integer_ratio()
+    terms = [math.comb(n, j) * a**j * (d - a) ** (n - j) for j in range(n + 1)]
+    return list(accumulate(terms)), list(accumulate(terms[::-1]))[::-1], d**n
+
+
+def table_errors(n, p):
+    """The worst error of `_binom_tables(n, p)` against exact tails: relative, in
+    units of `_table_error`, over entries whose exact tail is normal, and
+    absolute, in units of the `_count_at_most` slack (n + 1) 2**-1073, over
+    the others."""
+    lower, upper, scale = exact_tails(n, p)
+    relative = absolute = 0.0
+    for table, exact in zip(orderstat._binom_tables(n, p), (lower, upper)):
+        for entry, tail in zip(table.tolist(), exact):
+            num, den = entry.as_integer_ratio()
+            diff = abs(num * scale - tail * den)  # scale * den * |entry - tail / scale|
+            if tail * 2**1022 >= scale:
+                relative = max(relative, diff / (tail * den) / orderstat._table_error(n, p))
+            else:
+                absolute = max(absolute, diff * 2**1073 / (scale * den * (n + 1)))
+    return relative, absolute
+
+
+TABLE_PS = [2.0**-30, 0.01, 0.2, 0.37, 0.5, 0.93, 0.999, 1 - 2.0**-20]
+
+
+@pytest.mark.parametrize("p", TABLE_PS)
+def test_binom_tables_within_their_error_at_small_n(p):
+    # p = 2**-30 puts the mode at 0 and underflows the upper tail; 1 - 2**-20
+    # puts it at n and underflows the lower tail
+    for n in range(61):
+        relative, absolute = table_errors(n, p)
+        assert relative <= 1.0 and absolute <= 1.0, n
+
+
+@pytest.mark.parametrize("n", [100, 257, 1000, 4000])
+def test_binom_tables_within_their_error_at_larger_n(n):
+    relative, absolute = table_errors(n, 0.5)
+    assert relative <= 1.0 and absolute <= 1.0
+
+
+def test_table_error_at_most_8_eps_n_plus_2():
+    eps = np.finfo(float).eps
+    for n in (0, 1, 10, 10_000, 1_000_000):
+        assert orderstat._table_error(n, 0.37) <= 8 * eps * (n + 2)
+
+
+@pytest.mark.parametrize("n", [100, 257, 1000])
+def test_thresholds_at_exact_tails_of_larger_samples(n):
+    # at p = 1/2, P(B >= j) = P(B <= n - j), so both thresholds count the
+    # exact tails P(B <= k), k < n, that are <= the level
+    lower, _, scale = exact_tails(n, 0.5)
+    cdf = lower[:n]
+    tails = [t / scale for t in cdf]
+    levels = {a for t in tails if 1e-4 <= t <= 0.5
+              for a in (t, math.nextafter(t, 0.0), math.nextafter(t, 1.0))}
+
+    def count(alpha):
+        return bisect_right(cdf, Fraction(alpha) * scale)
+
+    for alpha in sorted(levels):
+        for alpha1, alpha2 in ((alpha, alpha), (alpha, 0.0), (0.0, alpha)):
+            want = (count(alpha1), n + 1 - count(alpha2))
+            assert orderstat._ci_thresholds(n, 0.5, alpha1, alpha2) == want, (alpha1, alpha2)
+
+
+def test_level_just_above_a_tail_is_decided_in_floats(monkeypatch):
+    # 2e-10 relative above the table's tail is outside the table's error band,
+    # so no threshold of B(10000, 0.37) needs exact arithmetic
+    n, p = 10_000, 0.37
+    alpha = float(orderstat._binom_tables(n, p)[0][3556]) * (1 + 2e-10)
+
+    def exact(*args):
+        raise AssertionError("decided in exact arithmetic")
+
+    monkeypatch.setattr(orderstat, "_exact_cdf_at_most", exact)
+    assert orderstat._ci_thresholds.__wrapped__(n, p, alpha, 0.05) == (3557, 3780)
 
 
 def test_df_ci_is_one_sided_at_a_zero_level():
