@@ -327,7 +327,7 @@ def _cmd_ci(args, parser: argparse.ArgumentParser) -> int:
         for method in methods:
             if method == "wq":
                 res = wq_cells(loc, q).result(0)
-                _warn_low_neff(res.n_eff)
+                _warn_low_neff(res.n_eff, center, bw)
             else:
                 res = qr_cells(loc, q, [RngStream(args.seed)]).result(0)
             records.append(_interval_record(res, center, bw, q))

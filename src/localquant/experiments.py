@@ -31,9 +31,11 @@ from .wq import wq_cells
 # tag for the rejection-acceptance sub-stream of a replicate stream
 _TAG_QR = 3
 
-# weights (replicate x cell x row) per chunk of replicates: 8 replicates of
-# 20 cells at n = 200; larger chunks raise peak memory and gain little
-_CHUNK_ELEMENTS = 32_768
+# weights (replicate x cell x row) per chunk of replicates: 16 replicates of
+# 20 cells at n = 200. A chunk's engine passes write into arrays they own, so
+# its traced peak is 3.4 to 3.7 float64 arrays of this size (512 KiB each),
+# by kernel
+_CHUNK_ELEMENTS = 65_536
 
 CSV_COLUMNS = (
     "signal",

@@ -59,21 +59,36 @@ class Kernel(enum.Enum):
         return _GAUSS_RADIUS if self is Kernel.GAUSSIAN else 1.0
 
     def evaluate(self, u):
-        """K(u), elementwise; zero outside the support."""
+        """K(u), elementwise; zero outside the support.
+
+        Except for the uniform kernel's, every step of a formula writes into
+        the one output array, in the order of the expression it computes (the
+        Gaussian's exponent is (-0.5 * u) * u), so the bits are those of the
+        expression.
+        """
         u = np.asarray(u, dtype=float)
-        au = np.abs(u)
-        if self is Kernel.TRIANGULAR:
-            out = np.maximum(0.0, 1.0 - au)
-        elif self is Kernel.BIWEIGHT:
-            out = (15.0 / 16.0) * np.maximum(0.0, 1.0 - u * u) ** 2
-        elif self is Kernel.UNIFORM:
-            out = np.where(au <= 1.0, 0.5, 0.0)
-        else:
-            out = np.where(
-                au <= _GAUSS_RADIUS,
-                np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi) / _GAUSS_NORM,
-                0.0,
-            )
+        # the uniform kernel stays one expression: its temporaries do not raise
+        # a study chunk's traced peak
+        if self is Kernel.UNIFORM:
+            out = np.where(np.abs(u) <= 1.0, 0.5, 0.0)
+            return float(out) if out.ndim == 0 else out
+        out = np.empty(u.shape)  # ufuncs keep a 0-d `out` an array
+        if self is Kernel.TRIANGULAR:  # max(0, 1 - |u|)
+            np.subtract(1.0, np.abs(u, out=out), out=out)
+            np.maximum(0.0, out, out=out)
+        elif self is Kernel.BIWEIGHT:  # (15/16) max(0, 1 - u u)**2, numpy's **2 being x*x
+            np.subtract(1.0, np.multiply(u, u, out=out), out=out)
+            np.maximum(0.0, out, out=out)
+            np.multiply(out, out, out=out)
+            np.multiply(15.0 / 16.0, out, out=out)
+        else:  # exp(-u u / 2) / sqrt(2 pi) / _GAUSS_NORM where |u| <= _GAUSS_RADIUS
+            outside = ~(np.abs(u, out=out) <= _GAUSS_RADIUS)
+            np.multiply(-0.5, u, out=out)
+            np.multiply(out, u, out=out)
+            np.exp(out, out=out)
+            np.divide(out, math.sqrt(2.0 * math.pi), out=out)
+            np.divide(out, _GAUSS_NORM, out=out)
+            out[outside] = 0.0
         return float(out) if out.ndim == 0 else out
 
 
@@ -157,10 +172,15 @@ def localize(data: Dataset | Replicates, specs) -> Localization:
     else:
         span = slice(None)
     with np.errstate(over="ignore"):
-        # (..., C, m, d): a cell axis before the rows of each dataset
-        u = (centers[:, None, :] - data.covariates[..., None, span, :]) / bandwidths[:, None, :]
-        local = np.prod(kernel.evaluate(u), axis=-1)
-    local[local < _WEIGHT_FLOOR] = 0.0
+        # (..., C, m, d): a cell axis before the rows of each dataset; u, K(u) and
+        # their product share one name, so each is freed once the next is made
+        local = centers[:, None, :] - data.covariates[..., None, span, :]
+        local /= bandwidths[:, None, :]
+        local = kernel.evaluate(local)
+        local = np.prod(local, axis=-1)
+    # K(u) >= 0, so multiplying by the test gives the weights below the floor
+    # +0.0 as assigning through the mask would, and runs faster
+    local *= local >= _WEIGHT_FLOOR
     if isinstance(data, Dataset):
         support = local.any(axis=0)
         # compress keeps the cells' rows contiguous, as numpy's sums need for their bits

@@ -40,13 +40,29 @@ class TieIndices:
         # NaN equals nothing, so it fails the first test even as the only value
         if not (np.all(values == values) and np.all(values[1:] >= values[:-1])):
             raise ValueError("values must be sorted ascending")
-        # starts[k] is True where a run of equal values begins
-        starts = np.ones(n, dtype=bool)
-        starts[1:] = values[1:] != values[:-1]
-        run_id = np.cumsum(starts) - 1
-        first = np.flatnonzero(starts) + 1
-        last = np.append(first[1:] - 1, n)
-        return cls(*_read_only(first[run_id], last[run_id]))
+        # each position takes the rank of the nearest run start at or before it,
+        # and of the nearest run end at or after it
+        ranks, first, last = _tie_marks(values, n)
+        i_min = np.maximum.accumulate(np.where(first, ranks, 0))
+        i_max = np.minimum.accumulate(np.where(last, ranks, n)[::-1])[::-1]
+        return cls(*_read_only(i_min, i_max))
+
+
+def _tie_marks(values: np.ndarray, sizes):
+    """(ranks, first, last) of the ascending samples values[k, :sizes[k]] of the
+    (..., m) `values`, `sizes` of shape (...): the ranks 1..m of the positions,
+    and the masks of the positions inside a sample where a run of equal values
+    starts (first) and ends (last). A run ends where the next value differs or
+    the sample ends."""
+    size = np.asarray(sizes)[..., None]
+    ranks = np.arange(1, values.shape[-1] + 1)
+    inside = ranks <= size
+    change = values[..., 1:] != values[..., :-1]
+    first = inside.copy()
+    first[..., 1:] &= change
+    last = ranks == size
+    last[..., :-1] |= change & inside[..., :-1]
+    return ranks, first, last
 
 
 def _binom_tables(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
@@ -219,18 +235,11 @@ def sorted_quantile_cis(values, sizes, p: float, alpha1: float, alpha2: float):
     and +inf after.
     """
     sizes = np.asarray(sizes)
-    size = sizes[..., None]
     if values.shape[-1] == 0:  # one column of padding keeps the searches nonempty
         values = np.full(sizes.shape + (1,), math.inf)
-    ranks = np.arange(1, values.shape[-1] + 1)
-    inside = ranks <= size
-    change = values[..., 1:] != values[..., :-1]
-    first = inside.copy()
-    first[..., 1:] &= change
-    last = ranks == size
-    last[..., :-1] |= change & inside[..., :-1]
-    l_hat, u_hat = ci_ranks(np.where(first, ranks, size + 1), np.where(last, ranks, 0),
-                            sizes, p, alpha1, alpha2)
+    ranks, first, last = _tie_marks(values, sizes)
+    l_hat, u_hat = ci_ranks(np.where(first, ranks, sizes[..., None] + 1),
+                            np.where(last, ranks, 0), sizes, p, alpha1, alpha2)
     pad = np.full(values.shape[:-1] + (1,), math.inf)
     padded = np.concatenate((-pad, values, pad), axis=-1)
     ends = np.take_along_axis(padded, np.stack((l_hat, u_hat), axis=-1), axis=-1)

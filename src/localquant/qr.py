@@ -61,7 +61,8 @@ def qr_cells(loc: Localization, q: QuantileSpec, streams) -> IntervalBatch:
     sizes = np.count_nonzero(accept, axis=-1)
     # only values are read, and every Dataset and Replicates array holds one sign
     # of zero, so the default sort gives the bits of a stable one
-    ys = np.sort(np.where(accept, loc.responses[..., None, :], np.inf), axis=-1)
+    ys = np.where(accept, loc.responses[..., None, :], np.inf)
+    ys.sort(axis=-1)
     lower, upper = sorted_quantile_cis(ys[..., :sizes.max(initial=0)], sizes,
                                        q.p, q.alpha1, q.alpha2)
     errors = loc.errors.copy()

@@ -13,7 +13,6 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -22,10 +21,14 @@ _MIX_B = 0x94D049BB133111EB
 
 
 def _mix_array(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer, elementwise; uint64 arrays wrap silently, numpy scalars warn."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
-    return z ^ (z >> np.uint64(31))
+    """SplitMix64 finalizer, elementwise, in place on the uint64 array `z`, which the
+    caller owns and gets back; uint64 arithmetic wraps silently."""
+    shifted = np.empty_like(z)
+    for shift, mult in ((30, _MIX_A), (27, _MIX_B)):
+        z ^= np.right_shift(z, np.uint64(shift), out=shifted)
+        z *= np.uint64(mult)
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    return z
 
 
 @dataclass(frozen=True)
@@ -66,10 +69,6 @@ class RngStream:
         repeated; only the requested draws are computed.
         """
         return stream_uniforms([self], idx)[0]
-
-    def normals(self, n: int) -> np.ndarray:
-        """`n` i.i.d. standard normal draws (inverse-CDF of `uniforms`)."""
-        return ndtri(self.uniforms(n))
 
 
 def _words(values) -> np.ndarray:
@@ -124,6 +123,11 @@ def stream_uniforms(streams, idx) -> np.ndarray:
     keys = keys.reshape(keys.shape + (1,) * idx.ndim)
     # counters wrap modulo 2**64, as uint64 arithmetic does
     counters = keys + np.uint64(_GOLDEN) * (idx.astype(np.uint64, copy=False) + np.uint64(1))
-    bits = _mix_array(counters)
-    # 53 significant bits, offset by half a grid step so 0.0 never occurs
-    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    bits = _mix_array(np.asarray(counters))  # an array even when 0-d
+    # 53 significant bits, offset by half a grid step so 0.0 never occurs; each
+    # draw is written over its own bits, which convert to float64 exactly
+    np.right_shift(bits, np.uint64(11), out=bits)
+    draws = bits.view(np.float64)
+    np.add(bits, 0.5, out=draws)
+    draws *= 2.0**-53
+    return draws[()]  # a numpy float when 0-d, as numpy's arithmetic gives

@@ -99,7 +99,12 @@ def sorted_cumulative(responses: np.ndarray, weights: np.ndarray):
     no weight stay all zero.
     """
     order, srt = _stable_sort(responses)
-    cum = np.cumsum(np.take_along_axis(weights, order[..., None, :], axis=-1), axis=-1)
+    # one np.take per dataset gathers faster than a take_along_axis of all of
+    # them; `order` holds valid indices, so "clip" (unbuffered) never clips
+    cum = np.empty(weights.shape)
+    for i in np.ndindex(order.shape[:-1]):
+        np.take(weights[i], order[i], axis=-1, out=cum[i], mode="clip")
+    np.cumsum(cum, axis=-1, out=cum)
     last = cum[..., -1:]
     cum /= np.where(last > 0.0, last, 1.0)
     return srt, cum

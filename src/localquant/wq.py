@@ -32,12 +32,15 @@ _TINY_LEVEL = float(np.nextafter(0.0, 1.0))
 def _sigma_rows(loc: Localization, p: float, thetas):
     """sigma_hat_p of each cell of `loc` at thetas[..., k], from the weights and
     responses of its rows; NaN where the squared mean weight underflows to zero."""
-    # (1{y <= theta} - p)**2 is exactly (1 - p)*(1 - p) or p*p, and numpy's
-    # **2 is x*x; a row outside loc.rows has weight 0.0, so its term is the 0.0
-    # that full_sums puts there
-    terms = loc.weights**2 * np.where(
-        loc.responses[..., None, :] <= np.asarray(thetas)[..., None], (1.0 - p) * (1.0 - p), p * p
-    )
+    # w**2 * (1{y <= theta} - p)**2, with numpy's **2 being x*x and the second
+    # factor exactly (1 - p)*(1 - p) or p*p, multiplied in one cell at a time so
+    # that no second array of every cell's rows is made; a row outside loc.rows
+    # has weight 0.0, so its term is the 0.0 that full_sums puts there
+    terms = np.multiply(loc.weights, loc.weights)
+    thetas = np.asarray(thetas)
+    for k in range(terms.shape[-2]):
+        terms[..., k, :] *= np.where(loc.responses <= thetas[..., k, None],
+                                     (1.0 - p) * (1.0 - p), p * p)
     # sums / n is np.mean bit for bit; Python's ** (C pow) differs from numpy's
     # x*x in the last bit for some x, and tests/data and perfbench/reference.json use **
     nums = full_sums(terms, loc.rows, loc.n) / loc.n
@@ -125,16 +128,18 @@ def wq_interval(data: Dataset, spec: LocalizationSpec, q: QuantileSpec) -> Inter
     where the asymptotic calibration is not trustworthy.
     """
     res = wq_cells(localize(data, [spec]), q).result(0)
-    _warn_low_neff(res.n_eff)
+    _warn_low_neff(res.n_eff, spec.center, spec.bandwidths)
     return res
 
 
-def _warn_low_neff(n_eff: float) -> None:
+def _warn_low_neff(n_eff: float, center, bandwidths) -> None:
     """Emit LowEffectiveSampleSizeWarning, attributed to the caller of our
-    caller, when a WQ interval has n_eff below NEFF_GUIDELINE."""
+    caller, when the WQ interval of the query at (`center`, `bandwidths`) has
+    n_eff below NEFF_GUIDELINE; the message names the query."""
     if n_eff < NEFF_GUIDELINE:
+        x0, h = [float(v) for v in center], [float(v) for v in bandwidths]
         warnings.warn(
-            f"effective sample size {n_eff:.2f} < {NEFF_GUIDELINE:g}; "
+            f"effective sample size {n_eff:.2f} < {NEFF_GUIDELINE:g} at x0 = {x0}, h = {h}; "
             "coverage of the WQ interval is not reliable",
             LowEffectiveSampleSizeWarning,
             stacklevel=3,

@@ -148,6 +148,12 @@ def qr(data, spec, q, rng):
     return IntervalResult(lower, upper, "QR", n_eff, accepted=int(n))
 
 
+def normals(stream, n):
+    """`n` i.i.d. standard normal draws of `stream`: the inverse normal CDF of
+    its uniforms, as the library drew a replicate's noise."""
+    return ndtri(stream.uniforms(n))
+
+
 def replicate_results(config, rep, thetas):
     """(covered, finite, width, n_eff) rows of replicate `rep`, one column per cell.
 
@@ -158,7 +164,7 @@ def replicate_results(config, rep, thetas):
     """
     rng = RngStream(config.master_seed, rep)
     x = rng.substream(1).uniforms(config.n)
-    z = rng.substream(2).normals(config.n)
+    z = normals(rng.substream(2), config.n)
     y = signal_eval(config.model.signal, x) + config.model.noise.sigma(x) * z
     loc = localize(Dataset(x[:, None], y), config.specs)
     q = config.quantile_spec

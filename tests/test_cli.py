@@ -521,6 +521,25 @@ def test_ci_warns_on_low_effective_sample_size(tmp_path, capsys, method, warned)
     assert all("effective sample size 1.99 < 10" in str(w.message) for w in low)
 
 
+def test_ci_low_neff_warnings_name_their_queries(tmp_path, capsys):
+    # two rows near 0.5 and two near 0.9: every query warns, each with its own (x0, h)
+    path = tmp_path / "four.csv"
+    write_csv(path, ["x", "y"], [[0.5, 1.0], [0.51, 2.0], [0.9, 3.0], [0.95, 4.0]])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = run_cli(capsys, [
+            "ci", "--data", str(path), "--x-cols", "x", "--y-col", "y",
+            "--x0", "0.5", "--x0", "0.9", "--h", "0.1", "--h", "0.2", "--method", "wq",
+        ])
+    assert code == 0 and len(out.splitlines()) == 4
+    low = [str(w.message) for w in caught
+           if issubclass(w.category, LowEffectiveSampleSizeWarning)]
+    queries = [(x0, h) for x0 in ("0.5", "0.9") for h in ("0.1", "0.2")]
+    assert len(low) == len(queries)
+    for message, (x0, h) in zip(low, queries):
+        assert f"< 10 at x0 = [{x0}], h = [{h}];" in message
+
+
 def test_ci_json_round_trip_infinite(tmp_path, capsys):
     # four rows inside a sure-acceptance window: QR returns the real line
     path = tmp_path / "four.csv"

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -230,6 +231,27 @@ def test_qr_draws_do_not_depend_on_the_method_list():
     assert qr_rows[2] == qr_rows[0]
 
 
+@pytest.mark.parametrize("kernel", list(Kernel))
+def test_a_preset_chunk_traces_at_most_3_75_arrays_per_weight(kernel):
+    # every engine pass writes into an array it owns, so one chunk of
+    # paper-spikes-s1 peaks at 3.4 to 3.7 float64 arrays of its (replicate x
+    # cell x row) weights, by kernel, where passes that each made new arrays
+    # held 5.2 with the triangular kernel
+    config = dataclasses.replace(PRESETS["paper-spikes-s1"], kernel=kernel)
+    reps = experiments._chunks(config)[0]
+    assert len(reps) == 16
+    arrays = 8 * len(reps) * len(config.specs) * config.n
+    thetas = np.zeros(len(config.specs))
+    experiments._chunk_results(config, reps, thetas)  # fills the threshold cache
+    tracemalloc.start()
+    try:
+        experiments._chunk_results(config, reps, thetas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 2.0 * arrays < peak <= 3.75 * arrays
+
+
 def test_presets_and_full_grid():
     assert "paper-spikes-s1" in PRESETS
     preset = PRESETS["paper-spikes-s1"]
@@ -309,14 +331,16 @@ CHUNKED = ExperimentConfig(
     bandwidths=(0.1, 0.04), x0_points=(0.23, 0.47), p=0.5, alpha=0.1, alpha1=0.05,
     n=2000, n_sim=11, master_seed=21,
 )
+# a budget at which four replicates of CHUNKED's 4 cells at n = 2000 fill a chunk
+CHUNKED_BUDGET = 32_768
 
 
 def test_chunks_are_shared_by_workers():
-    # four replicates of 4 cells at n = 2000 fill a chunk: three chunks
-    assert [len(c) for c in experiments._chunks(CHUNKED)] == [4, 4, 3]
-    expected = run_experiment(CHUNKED, workers=1)
-    assert run_experiment(CHUNKED, workers=2) == expected
-    assert run_experiment(CHUNKED, workers=3) == expected
+    with mock.patch.object(experiments, "_CHUNK_ELEMENTS", CHUNKED_BUDGET):
+        assert [len(c) for c in experiments._chunks(CHUNKED)] == [4, 4, 3]
+        expected = run_experiment(CHUNKED, workers=1)
+        assert run_experiment(CHUNKED, workers=2) == expected
+        assert run_experiment(CHUNKED, workers=3) == expected
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -341,6 +365,7 @@ def test_earliest_failure_of_all_chunks_is_raised(monkeypatch, workers):
         return batch
 
     monkeypatch.setattr(experiments, "wq_cells", wq_cells)
+    monkeypatch.setattr(experiments, "_CHUNK_ELEMENTS", CHUNKED_BUDGET)
     with pytest.raises(DomainError, match="replicate 2, cell 3"):
         run_experiment(CHUNKED, workers=workers)
     del failing[(2, 3)]

@@ -145,7 +145,7 @@ def test_accepted_distribution_matches_oracle():
     for r in range(120):
         rng = RngStream(31415, r)
         x = rng.substream(1).uniforms(300)
-        y = f(x) + sig * rng.substream(2).normals(300)
+        y = f(x) + sig * ref.normals(rng.substream(2), 300)
         data = Dataset(x[:, None], y)
         spec = LocalizationSpec(Kernel.TRIANGULAR, [x0], [h])
         idx = rejection_sample(data, spec, rng.substream(3))
@@ -157,7 +157,7 @@ def test_accepted_distribution_matches_oracle():
     u = orng.substream(1).uniforms(m)
     t = np.where(u < 0.5, -1.0 + np.sqrt(2.0 * u), 1.0 - np.sqrt(2.0 * (1.0 - u)))
     xs = x0 + h * t
-    ys = f(xs) + sig * orng.substream(2).normals(m)
+    ys = f(xs) + sig * ref.normals(orng.substream(2), m)
 
     stat = stats.ks_2samp(np.asarray(accepted), ys)
     assert stat.pvalue > 0.01

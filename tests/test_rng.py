@@ -1,3 +1,5 @@
+import ast
+import inspect
 import warnings
 
 import numpy as np
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 
 from localquant import RngStream
 from localquant import rng as rng_mod
+
+import interval_reference as ref
 
 
 def test_same_key_same_sequence():
@@ -51,10 +55,23 @@ def test_uniform_moments():
 
 
 def test_normals_match_inverse_cdf_moments():
-    z = RngStream(7).normals(500_000)
+    z = ref.normals(RngStream(7), 500_000)
     assert abs(z.mean()) < 0.005
     assert abs(z.var() - 1.0) < 0.01
     assert abs(np.mean(z < 0) - 0.5) < 0.005
+
+
+def test_rng_imports_nothing_from_scipy():
+    # `import localquant.rng` runs the package __init__, which loads scipy
+    # through other modules, so the module's own source is read instead
+    tree = ast.parse(inspect.getsource(rng_mod))
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module]
+    assert "numpy" in modules
+    assert not [name for name in modules if name.split(".")[0] == "scipy"]
+    assert not hasattr(RngStream, "normals")
 
 
 def test_negative_inputs_allowed():
@@ -189,5 +206,5 @@ def test_draw_counts_must_be_integers():
     with pytest.raises(TypeError):
         RngStream(1).uniforms(2.5)
     with pytest.raises(TypeError):
-        RngStream(1).normals(2.0)
+        RngStream(1).uniforms(2.0)
     assert RngStream(1).uniforms(np.int64(3)).tobytes() == RngStream(1).uniforms(3).tobytes()

@@ -162,7 +162,8 @@ def test_all_weights_zero_interval():
 def test_low_neff_warning():
     data = Dataset(covariates=[[0.5], [0.51]], responses=[1.0, 2.0])
     spec = LocalizationSpec(Kernel.TRIANGULAR, [0.5], [0.1])
-    with pytest.warns(LowEffectiveSampleSizeWarning):
+    with pytest.warns(LowEffectiveSampleSizeWarning,
+                      match=r"effective sample size 1\.99 < 10 at x0 = \[0\.5\], h = \[0\.1\];"):
         wq_interval(data, spec, QuantileSpec(0.5, 0.1, 0.05))
 
 
