@@ -17,10 +17,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import ctypes
 import json
 import math
 import mmap
 import os
+import platform
 import sys
 import warnings
 
@@ -55,6 +57,10 @@ _EXIT_USAGE = 2
 _EXIT_DATA = 3
 _EXIT_NO_WEIGHT = 4
 _EXIT_BROKEN_PIPE = 141
+
+# mallopt parameters of glibc's <malloc.h>
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
 
 
 def load_csv(path: str, x_columns: list[str], y_column: str, normalize: bool = False) -> Dataset:
@@ -320,8 +326,8 @@ def _cmd_ci(args, parser: argparse.ArgumentParser) -> int:
     data = load_csv(args.data, x_cols, args.y_col, normalize=args.normalize)
 
     # one localization per query, read by both methods: the results of
-    # wq_interval and qr_interval on the same spec, WQ first
-    records = []
+    # wq_interval and qr_interval on the same spec, WQ first. Each record is
+    # written once computed, so a query that fails keeps the records before it
     for center, bw, spec in cells:
         loc = localize(data, [spec])
         for method in methods:
@@ -330,13 +336,10 @@ def _cmd_ci(args, parser: argparse.ArgumentParser) -> int:
                 _warn_low_neff(res.n_eff, center, bw)
             else:
                 res = qr_cells(loc, q, [RngStream(args.seed)]).result(0)
-            records.append(_interval_record(res, center, bw, q))
+            print(json.dumps(_interval_record(res, center, bw, q)), flush=True)
     if "dfq" in methods:
         res = df_quantile_ci(data.responses, q.p, q.alpha1, q.alpha2)
-        records.append(_interval_record(res, None, None, q))
-
-    for record in records:
-        print(json.dumps(record))
+        print(json.dumps(_interval_record(res, None, None, q)), flush=True)
     return 0
 
 
@@ -359,6 +362,27 @@ def _open_out(path):
     return open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout)
 
 
+def _keep_heap() -> bool:
+    """Have glibc keep this process's heap between study chunks; True if it took.
+
+    Each chunk of `run_experiment` allocates and frees about a dozen 512 KiB
+    arrays. glibc's dynamic thresholds serve such arrays by mmap, or trim the
+    heap once they are freed, so every chunk faults its memory in afresh. A
+    fixed 32 MiB mmap threshold (the ceiling of the dynamic one on 64-bit)
+    puts them on the heap and a 16 MiB trim threshold keeps it. Fixing
+    either threshold turns both dynamic ones off, leaving the other at its
+    128 KiB default: the mmap threshold alone saves nothing and the trim
+    threshold alone doubles the faults. So the trim threshold is set only
+    once the mmap threshold has taken, which an older glibc refuses where
+    its heaps are small (32-bit). Off glibc this does nothing.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return False
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return mallopt(_M_MMAP_THRESHOLD, 32 << 20) == 1 and mallopt(_M_TRIM_THRESHOLD, 16 << 20) == 1
+
+
 def _cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
     if args.workers < 1:
         parser.error("--workers must be at least 1")
@@ -371,6 +395,7 @@ def _cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
                 config = parse_config(fh.read())
         except (OSError, ValueError) as exc:
             parser.error(str(exc))
+    _keep_heap()
     summaries = run_experiment(config, workers=args.workers)
     with _open_out(args.out) as out:
         write_summaries(out, [(config, summaries)])

@@ -121,8 +121,10 @@ def stream_uniforms(streams, idx) -> np.ndarray:
         streams = np.asarray(streams, dtype=object)
         keys = np.array([s.key for s in streams.flat], dtype=np.uint64).reshape(streams.shape)
     keys = keys.reshape(keys.shape + (1,) * idx.ndim)
-    # counters wrap modulo 2**64, as uint64 arithmetic does
-    counters = keys + np.uint64(_GOLDEN) * (idx.astype(np.uint64, copy=False) + np.uint64(1))
+    # counters wrap modulo 2**64, as uint64 arithmetic does; the ufunc, not `*`,
+    # which warns on the wraparound when a 0-d idx has made both factors scalars
+    steps = idx.astype(np.uint64, copy=False) + np.uint64(1)
+    counters = keys + np.multiply(np.uint64(_GOLDEN), steps)
     bits = _mix_array(np.asarray(counters))  # an array even when 0-d
     # 53 significant bits, offset by half a grid step so 0.0 never occurs; each
     # draw is written over its own bits, which convert to float64 exactly

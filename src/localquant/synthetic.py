@@ -18,6 +18,7 @@ component's mass below a chosen point is pushed up to that point.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -51,6 +52,8 @@ _BUMPS_H = np.array([4.0, 5.0, 3.0, 4.0, 5.0, 4.2, 2.1, 4.3, 3.1, 5.1, 4.2])
 _SPIKES_C = np.array([0.23, 0.33, 0.47, 0.69, 0.83])
 _SPIKES_S = np.array([500.0, 2000.0, 8000.0, 16000.0, 32000.0])
 _SPIKES_H = np.array([1.0, 2.0, 4.0, 3.0, 1.0])
+# exp(-746) is below half the least subnormal, so it and every lower argument round to +0.0
+_EXP_ZERO = -746.0
 
 _PARABOLAS_C = np.array([0.1, 0.2, 0.3, 0.35, 0.37, 0.41, 0.43, 0.5, 0.7, 0.9])
 _PARABOLAS_H = np.array([-30.0, 60.0, -30.0, 500.0, -1000.0, 1000.0, -500.0, 7.5, -15.0, 7.5])
@@ -69,7 +72,15 @@ def _blip(x):
 
 def _spikes(x):
     u = x[..., None] - _SPIKES_C
-    return np.sum(_SPIKES_H * np.exp(-_SPIKES_S * u * u), axis=-1)
+    e = -_SPIKES_S * u * u
+    # np.exp takes a slow path on lanes whose result underflows, most of them
+    # here; exp rounds every argument at or below _EXP_ZERO to +0.0, so those
+    # lanes take exp(-0.0) and are zeroed after
+    live = e > _EXP_ZERO
+    e *= live
+    np.exp(e, out=e)
+    e *= live
+    return np.sum(_SPIKES_H * e, axis=-1)
 
 
 def _bumps(x):
@@ -191,6 +202,12 @@ class SyntheticModel:
 
     def signal_range(self) -> tuple[float, float]:
         """Approximate min/max of the signal over [0, 1] (dense grid)."""
+        return self._signal_range
+
+    @functools.cached_property
+    def _signal_range(self) -> tuple[float, float]:
+        # found on first use and kept for the life of the model, so the oracle
+        # of a study brackets every cell from one grid
         grid = np.linspace(0.0, 1.0, 4097)
         grid = np.union1d(grid, np.asarray(self.signal.breakpoints))
         f = signal_eval(self.signal, grid)

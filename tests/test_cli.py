@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -685,14 +686,56 @@ def test_module_run_is_warning_free():
 
 
 def test_optimized_simulate_matches_golden_file():
-    # asserts are stripped under -O; the study must print the same bytes
-    proc = _run_python("-O", "-m", "localquant.cli", "simulate", "--preset", "quick-spikes-s1",
-                       text=False)
+    # asserts are stripped under -O; the study must print the same bytes, and
+    # a numpy warning on the way fails it
+    proc = _run_python("-O", "-W", "error", "-m", "localquant.cli", "simulate", "--preset",
+                       "quick-spikes-s1", text=False)
     golden = os.path.join(os.path.dirname(__file__), "data", "quick-spikes-s1.csv")
     with open(golden, "rb") as fh:
         expected = fh.read()
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert proc.stdout == expected
+
+
+def test_ci_keeps_the_records_before_a_failed_query(tmp_path):
+    # the window at x0 = 5.0 holds no row: its WQ query exits 4, after the
+    # records of x0 = 0.5 are written as a run without it writes them
+    rng = np.random.default_rng(7)
+    path = tmp_path / "data.csv"
+    write_csv(path, ["x", "y"], rng.uniform(0, 1, size=(300, 2)).tolist())
+    argv = ["-m", "localquant.cli", "ci", "--data", str(path), "--x-cols", "x", "--y-col", "y",
+            "--h", "0.1", "--method", "both", "--seed", "1", "--x0", "0.5"]
+    alone = _run_python(*argv, text=False)
+    failed = _run_python(*argv, "--x0", "5.0", text=False)
+    assert (alone.returncode, alone.stderr, alone.stdout.count(b"\n")) == (0, b"", 2)
+    assert (failed.returncode, failed.stdout) == (4, alone.stdout)
+    assert failed.stderr == b"error: all localization weights are zero\n"
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy is glibc's")
+def test_simulate_keeps_its_heap_between_chunks():
+    # with glibc's dynamic thresholds each of the preset's 63 chunks faulted
+    # its arrays in afresh: about 36,000 minor faults in all
+    code = (
+        "import contextlib, io, resource\n"
+        "from localquant.cli import main\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['simulate', '--preset', 'paper-spikes-s1']) == 0\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    proc = _run_python("-c", code)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert int(proc.stdout) < 5000
+
+
+def test_keep_heap_leaves_other_allocators_alone(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("no libc call off glibc")
+
+    monkeypatch.setattr(cli.platform, "libc_ver", lambda: ("", ""))
+    monkeypatch.setattr(cli.ctypes, "CDLL", forbidden)
+    assert cli._keep_heap() is False
 
 
 def test_cli_import_leaves_out_scipy_optimize():

@@ -30,7 +30,7 @@ from localquant import (
     true_theta,
     write_summaries,
 )
-from localquant import experiments
+from localquant import experiments, synthetic
 
 TINY = ExperimentConfig(
     model=SyntheticModel(Signal.STEP, NoiseSetting.S1),
@@ -229,6 +229,23 @@ def test_qr_draws_do_not_depend_on_the_method_list():
     assert len(qr_rows[0]) == 20
     assert qr_rows[1] == qr_rows[0]
     assert qr_rows[2] == qr_rows[0]
+
+
+def test_a_study_evaluates_the_signal_range_grid_once(monkeypatch):
+    # the oracle still runs for each of the 20 cells, each bracketed by the
+    # model's one signal range
+    model = SyntheticModel(Signal.SPIKES, NoiseSetting.S1)
+    config = dataclasses.replace(PRESETS["quick-spikes-s1"], model=model, n_sim=2)
+    grid_shape = np.union1d(np.linspace(0.0, 1.0, 4097), Signal.SPIKES.breakpoints).shape
+    shapes, oracle_cells = [], []
+    real_eval, real_theta = synthetic.signal_eval, experiments.true_theta
+    monkeypatch.setattr(synthetic, "signal_eval",
+                        lambda signal, x: shapes.append(np.shape(x)) or real_eval(signal, x))
+    monkeypatch.setattr(experiments, "true_theta",
+                        lambda *args: oracle_cells.append(args) or real_theta(*args))
+    assert len(run_experiment(config)) == 40
+    assert len(oracle_cells) == 20
+    assert shapes.count(grid_shape) == 1
 
 
 @pytest.mark.parametrize("kernel", list(Kernel))

@@ -185,6 +185,14 @@ def test_stream_keys_match_stream_objects(seed, ids, tags):
     ).tobytes()
 
 
+def test_one_draw_of_one_stream_wraps_without_a_warning():
+    # the 0-d path wraps its counter modulo 2**64 as the array path does
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draw = rng_mod.stream_uniforms(RngStream(1), 3)
+    assert draw == RngStream(1).uniforms(4)[3]
+
+
 EDGES = [0, 1, -1, 2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**64 - 1, 2**64, 2**64 + 1]
 
 

@@ -23,6 +23,7 @@ from localquant import (
     true_theta,
     weighted_cdf,
 )
+from localquant import synthetic
 from localquant.rng import stream_keys
 
 SPIKES = SyntheticModel(Signal.SPIKES, NoiseSetting.S1)
@@ -111,6 +112,20 @@ def test_signals_match_independent_evaluator(signal):
         assert signal_eval(signal, float(x)) == pytest.approx(
             EVALUATORS[signal](float(x)), rel=1e-12, abs=1e-12
         )
+
+
+def test_spikes_equals_the_plain_formula_bit_for_bit():
+    # _spikes skips np.exp on lanes that underflow; the bits must not move
+    def plain(x):
+        u = x[..., None] - synthetic._SPIKES_C
+        return np.sum(synthetic._SPIKES_H * np.exp(-synthetic._SPIKES_S * u * u), axis=-1)
+
+    rng = np.random.default_rng(22)
+    for x in [np.linspace(0.0, 1.0, 100_001), *rng.uniform(0, 1, size=(50, 16, 200))]:
+        assert signal_eval(Signal.SPIKES, x).tobytes() == plain(x).tobytes()
+    cut = synthetic._EXP_ZERO
+    below = np.array([cut, np.nextafter(cut, -np.inf), 2 * cut, -1e300, -np.inf])
+    assert np.exp(below).tobytes() == np.zeros_like(below).tobytes()
 
 
 def test_signal_spot_values():
