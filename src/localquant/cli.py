@@ -9,7 +9,9 @@ Subcommands:
 All numeric results equal the corresponding library calls bit for bit; the
 CLI only parses arguments, loads data, and serializes. Exit codes: 2 usage
 errors, 3 data errors, 4 when every localization weight is zero, 141 (128 +
-SIGPIPE) when the reader of stdout goes away, with no message.
+SIGPIPE) when the reader of stdout goes away, with no message. `ci` writes
+a record for every query, an error record for one that fails, and exits 3
+or 4 for the first failed query after the last record.
 """
 
 from __future__ import annotations
@@ -208,6 +210,22 @@ def _interval_record(res: IntervalResult, x0, h, q: QuantileSpec) -> dict:
     }
 
 
+def _error_record(exc: LocalQuantError, x0, h, method: str, q: QuantileSpec) -> dict:
+    """The record of a query that raised `exc`: no interval, and the error."""
+    return {
+        "x0": x0,
+        "h": h,
+        "lower": None,
+        "upper": None,
+        "n_eff": None,
+        "accepted": None,
+        "method": method,
+        "p": q.p,
+        "alpha": q.alpha,
+        "error": {"type": type(exc).__name__, "message": str(exc)},
+    }
+
+
 def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.replace(",", " ").split()]
 
@@ -327,19 +345,28 @@ def _cmd_ci(args, parser: argparse.ArgumentParser) -> int:
 
     # one localization per query, read by both methods: the results of
     # wq_interval and qr_interval on the same spec, WQ first. Each record is
-    # written once computed, so a query that fails keeps the records before it
+    # written once computed; a query that fails gets an error record, and the
+    # first failure is raised after the last record
+    failures = []
     for center, bw, spec in cells:
         loc = localize(data, [spec])
         for method in methods:
-            if method == "wq":
-                res = wq_cells(loc, q).result(0)
-                _warn_low_neff(res.n_eff, center, bw)
-            else:
-                res = qr_cells(loc, q, [RngStream(args.seed)]).result(0)
-            print(json.dumps(_interval_record(res, center, bw, q)), flush=True)
+            try:
+                if method == "wq":
+                    res = wq_cells(loc, q).result(0)
+                    _warn_low_neff(res.n_eff, center, bw)
+                else:
+                    res = qr_cells(loc, q, [RngStream(args.seed)]).result(0)
+                record = _interval_record(res, center, bw, q)
+            except LocalQuantError as exc:
+                failures.append(exc)
+                record = _error_record(exc, center, bw, method.upper(), q)
+            print(json.dumps(record), flush=True)
     if "dfq" in methods:
         res = df_quantile_ci(data.responses, q.p, q.alpha1, q.alpha2)
         print(json.dumps(_interval_record(res, None, None, q)), flush=True)
+    if failures:
+        raise failures[0]
     return 0
 
 

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri, roots_legendre
+from scipy.special import ndtr, ndtri
 
 from .base import Dataset, Replicates
 from .errors import BracketFailure, DomainError, QuadratureFailure
@@ -39,7 +39,23 @@ _ROOT_RTOL = 4.0 * float(np.finfo(float).eps)
 # wider than 0.0025, about half the narrowest feature of the six signals (the
 # s = 32000 spike has sd 1/sqrt(64000) = 0.004, the narrowest bumps w = 0.005)
 _PANEL_WIDTH = 0.0025
-_GL_NODES, _GL_WEIGHTS = roots_legendre(20)
+# the bits of scipy.special.roots_legendre(20) as repr literals, which
+# round-trip exactly: calling it would load all of scipy.linalg at import.
+# Regenerate with [repr(float(v)) for v in roots_legendre(20)[i]].
+_GL_NODES = np.array([
+    -0.9931285991850949, -0.9639719272779137, -0.912234428251326, -0.8391169718222189,
+    -0.7463319064601508, -0.6360536807265149, -0.510867001950827, -0.37370608871541955,
+    -0.22778585114164504, -0.0765265211334973, 0.0765265211334973, 0.22778585114164504,
+    0.37370608871541955, 0.510867001950827, 0.6360536807265149, 0.7463319064601508,
+    0.8391169718222189, 0.912234428251326, 0.9639719272779137, 0.9931285991850949,
+])
+_GL_WEIGHTS = np.array([
+    0.017614007139152687, 0.04060142980038748, 0.06267204833410933, 0.08327674157670427,
+    0.10193011981724026, 0.11819453196151841, 0.13168863844917644, 0.14209610931838176,
+    0.1491729864726036, 0.1527533871307256, 0.1527533871307256, 0.1491729864726036,
+    0.14209610931838176, 0.13168863844917644, 0.11819453196151841, 0.10193011981724026,
+    0.08327674157670427, 0.06267204833410933, 0.04060142980038748, 0.017614007139152687,
+])
 
 # sub-stream tags for sample_dataset
 _TAG_X = 1
@@ -318,9 +334,10 @@ def true_q_cdf(model: SyntheticModel, spec: LocalizationSpec, y: float) -> float
     return _q_cdf_factory(model, spec)(float(y))
 
 
-def _bracket(model: SyntheticModel) -> tuple[float, float]:
+def _bracket(model: SyntheticModel, sds: float = 6.0) -> tuple[float, float]:
+    """The signal's range widened by `sds` times sigma_max on each side."""
     fmin, fmax = model.signal_range()
-    pad = 6.0 * model.noise.sigma_max
+    pad = sds * model.noise.sigma_max
     return fmin - pad, fmax + pad
 
 
@@ -330,14 +347,17 @@ def _bisect(g, lo: float, hi: float, g_lo: float) -> float:
     The loop of scipy's `bisect`, step for step, so roots agree bit for
     bit: halve the step, keep the midpoint as the left end while its sign
     matches g_lo, stop at an exact zero or when the step is below
-    _ROOT_TOL + _ROOT_RTOL * |midpoint|, and return that midpoint.
+    _ROOT_TOL + _ROOT_RTOL * |midpoint|, and return that midpoint. The
+    signs are compared, where scipy tests g_mid * g_lo >= 0: that product
+    underflows to zero, and so reads as a match, once |g_mid * g_lo| is
+    below about 2.5e-324, as it is near the root at p = 1e-300.
     """
     step = hi - lo
     for _ in range(_ROOT_MAXITER):
         step *= 0.5
         mid = lo + step
         g_mid = g(mid)
-        if g_mid * g_lo >= 0.0:
+        if (g_mid < 0.0) == (g_lo < 0.0):
             lo = mid
         if g_mid == 0.0 or abs(step) < _ROOT_TOL + _ROOT_RTOL * abs(mid):
             return mid
@@ -352,6 +372,13 @@ def true_theta(model: SyntheticModel, spec: LocalizationSpec, p: float) -> float
     lo, hi = _bracket(model)
     g = lambda y: q_cdf(y) - p
     g_lo, g_hi = g(lo), g(hi)
+    if g_lo >= 0.0 or g_hi <= 0.0:
+        # p lies beyond about ndtr(±6). Below the signal's minimum every
+        # conditional law has Q(y) <= ndtr((y - fmin) / sigma_max), and above
+        # its maximum likewise for 1 - Q, so z = -ndtri(min(p, 1 - p)) sds
+        # bracket theta; one sd more leaves room for rounding
+        lo, hi = _bracket(model, 1.0 - float(ndtri(min(p, 1.0 - p))))
+        g_lo, g_hi = g(lo), g(hi)
     if g_lo >= 0.0 or g_hi <= 0.0:
         raise BracketFailure(
             f"no sign change on [{lo:.3g}, {hi:.3g}]: g(lo)={g_lo:.3g}, g(hi)={g_hi:.3g}"

@@ -293,18 +293,24 @@ def test_empty_window_exit_code(sample_csv, capsys):
 
 
 def test_underflowing_weights_exit_code(tmp_path, capsys):
-    # every weight squares to 0: a data error, not a traceback
+    # every weight squares to 0 at the first center: a data error, not a
+    # traceback. Its error record comes first, the next query still runs,
+    # and the run exits 3 after it
     d = 13
     path = tmp_path / "tiny.csv"
     write_csv(path, [f"x{j}" for j in range(d)] + ["y"], [[-(1.0 - 2.0**-53)] * d + [1.0]])
-    code, out, err = run_cli(capsys, [
-        "ci", "--data", str(path), "--x-cols", ",".join(f"x{j}" for j in range(d)),
-        "--y-col", "y", "--x0", ",".join(["0"] * d), "--h", ",".join(["1"] * d),
-        "--method", "wq",
-    ])
+    with pytest.warns(LowEffectiveSampleSizeWarning):
+        code, out, err = run_cli(capsys, [
+            "ci", "--data", str(path), "--x-cols", ",".join(f"x{j}" for j in range(d)),
+            "--y-col", "y", "--x0", ",".join(["0"] * d), "--x0=" + ",".join(["-0.5"] * d),
+            "--h", ",".join(["1"] * d), "--method", "wq",
+        ])
+    failed, answered = [json.loads(line) for line in out.splitlines()]
     assert code == 3
-    assert out == ""
-    assert "underflow" in err
+    assert err == "error: the squared localization weights underflow to zero\n"
+    assert (failed["lower"], failed["upper"], failed["error"]) == (None, None, {
+        "type": "DomainError", "message": "the squared localization weights underflow to zero"})
+    assert (answered["x0"], answered["lower"], answered["upper"]) == ([-0.5] * d, 1.0, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -697,19 +703,26 @@ def test_optimized_simulate_matches_golden_file():
     assert proc.stdout == expected
 
 
-def test_ci_keeps_the_records_before_a_failed_query(tmp_path):
-    # the window at x0 = 5.0 holds no row: its WQ query exits 4, after the
-    # records of x0 = 0.5 are written as a run without it writes them
+def test_ci_answers_every_query_around_a_failed_one(tmp_path):
+    # the window at x0 = 5.0 holds no row: its WQ query gets an error record
+    # between the records a run without it writes, and the run exits 4
     rng = np.random.default_rng(7)
     path = tmp_path / "data.csv"
     write_csv(path, ["x", "y"], rng.uniform(0, 1, size=(300, 2)).tolist())
     argv = ["-m", "localquant.cli", "ci", "--data", str(path), "--x-cols", "x", "--y-col", "y",
-            "--h", "0.1", "--method", "both", "--seed", "1", "--x0", "0.5"]
-    alone = _run_python(*argv, text=False)
-    failed = _run_python(*argv, "--x0", "5.0", text=False)
-    assert (alone.returncode, alone.stderr, alone.stdout.count(b"\n")) == (0, b"", 2)
-    assert (failed.returncode, failed.stdout) == (4, alone.stdout)
-    assert failed.stderr == b"error: all localization weights are zero\n"
+            "--h", "0.1", "--method", "wq"]
+    valid = _run_python(*argv, "--x0", "0.5", "--x0", "0.6")
+    around = _run_python(*argv, "--x0", "0.5", "--x0", "5.0", "--x0", "0.6")
+    assert (valid.returncode, valid.stderr) == (0, "")
+    assert (around.returncode, around.stderr) == (4, "error: all localization weights are zero\n")
+    first, second = valid.stdout.splitlines()
+    records = around.stdout.splitlines()
+    assert (records[0], records[2], len(records)) == (first, second, 3)
+    assert json.loads(records[1]) == {
+        "x0": [5.0], "h": [0.1], "lower": None, "upper": None, "n_eff": None, "accepted": None,
+        "method": "WQ", "p": 0.5, "alpha": 0.1,
+        "error": {"type": "AllWeightsZero", "message": "all localization weights are zero"},
+    }
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy is glibc's")
@@ -738,10 +751,27 @@ def test_keep_heap_leaves_other_allocators_alone(monkeypatch):
     assert cli._keep_heap() is False
 
 
-def test_cli_import_leaves_out_scipy_optimize():
-    # every CLI call pays for its imports; the oracle's bisection is in-repo
-    proc = _run_python("-c", "import sys, localquant.cli; print('scipy.optimize' in sys.modules)")
-    assert (proc.returncode, proc.stdout) == (0, "False\n")
+def test_cli_import_leaves_out_scipy_optimize(tmp_path):
+    # every CLI call pays for its imports: the oracle's bisection is in-repo
+    # and its Gauss-Legendre rule is literals, so of scipy only scipy.special
+    # loads, on import and through every command
+    data = tmp_path / "data.csv"
+    write_csv(data, ["x", "y"], np.random.default_rng(7).uniform(0, 1, size=(50, 2)).tolist())
+    code = (
+        "import contextlib, io, sys\n"
+        "from localquant.cli import main\n"
+        "heavy = ['scipy.linalg', 'scipy.optimize', 'scipy.integrate', 'scipy.stats']\n"
+        "print([m for m in heavy if m in sys.modules])\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['simulate', '--preset', 'quick-spikes-s1']), main(['target']),\n"
+        "             main(['indist']), main(['ci', '--data', sys.argv[1], '--x-cols', 'x',\n"
+        "                                     '--y-col', 'y', '--x0', '0.5', '--h', '0.2',\n"
+        "                                     '--seed', '1'])]\n"
+        "print(codes, [m for m in heavy if m in sys.modules])\n"
+    )
+    proc = _run_python("-c", code, str(data))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[]\n[0, 0, 0, 0] []\n"
 
 
 def test_closed_stdout_pipe_exits_141_quietly(tmp_path):

@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import ndtr, roots_legendre
 
 from localquant import (
     BracketFailure,
@@ -205,6 +206,29 @@ def test_sample_dataset_moments():
     assert abs(resid.var() - 0.09) <= 0.01 * 0.09
 
 
+def test_gauss_legendre_constants_are_roots_legendre_bits():
+    nodes, weights = roots_legendre(20)
+    assert [v.hex() for v in synthetic._GL_NODES.tolist()] == [v.hex() for v in nodes.tolist()]
+    assert [v.hex() for v in synthetic._GL_WEIGHTS.tolist()] == [v.hex() for v in weights.tolist()]
+
+
+def test_gauss_legendre_rule_is_exact_through_degree_39():
+    # in exact arithmetic on the literals' values, without scipy: the 20-point
+    # rule integrates x^k over [-1, 1] for every k <= 39 and not x^40. Its
+    # outer weights lie up to 164 ulp from the true ones, so x^38 comes out
+    # 92 eps off, not a few ulp
+    nodes, weights = synthetic._GL_NODES.tolist(), synthetic._GL_WEIGHTS.tolist()
+    assert nodes == [-x for x in reversed(nodes)] and weights == weights[::-1]
+    x, w = [Fraction(v) for v in nodes], [Fraction(v) for v in weights]
+
+    def moment(k):
+        return sum(wi * xi**k for xi, wi in zip(x, w))
+
+    assert all(moment(k) == 0 for k in range(1, 40, 2))
+    errors = [abs(moment(k) / Fraction(2, k + 1) - 1) for k in range(0, 42, 2)]
+    assert max(errors[:-1]) < 128 * 2.0**-52 and errors[-1] > 1e-12
+
+
 def test_true_q_cdf_limits_and_flat_case():
     model = SyntheticModel(Signal.STEP, NoiseSetting.S1)
     spec = LocalizationSpec(Kernel.TRIANGULAR, [0.5], [0.04])
@@ -266,9 +290,23 @@ def test_true_theta_heteroscedastic_consistency():
             assert true_q_cdf(model, spec, theta) == pytest.approx(p, abs=1e-8)
 
 
+@pytest.mark.parametrize("p", [1e-12, 1e-300, 1.0 - 1e-12])
+def test_true_theta_at_extreme_p(p):
+    # beyond the default bracket of the signal range +- 6 sigma_max; the
+    # bisection's last bracket puts the CDF on each side of p
+    theta = true_theta(SPIKES, SPIKES_SPEC, p)
+    tol = synthetic._ROOT_TOL + synthetic._ROOT_RTOL * abs(theta)
+    assert true_q_cdf(SPIKES, SPIKES_SPEC, theta - tol) <= p <= true_q_cdf(
+        SPIKES, SPIKES_SPEC, theta + tol
+    )
+    assert not synthetic._bracket(SPIKES)[0] < theta < synthetic._bracket(SPIKES)[1]
+
+
 def test_true_theta_bracket_failure():
+    # the normalized kernel weights sum to 1 - 2**-52 in floating point, so
+    # the oracle CDF never reaches 1 - 2**-53
     with pytest.raises(BracketFailure):
-        true_theta(SPIKES, SPIKES_SPEC, 1e-12)
+        true_theta(SPIKES, SPIKES_SPEC, 1.0 - 2.0**-53)
 
 
 def test_mixture_weight():
