@@ -187,43 +187,18 @@ def _endpoint_to_json(value: float):
     return value
 
 
-def parse_endpoint(value) -> float:
-    """Inverse of the JSON endpoint encoding ("-inf"/"inf" strings)."""
-    if value == "inf":
-        return math.inf
-    if value == "-inf":
-        return -math.inf
-    return float(value)
-
-
-def _interval_record(res: IntervalResult, x0, h, q: QuantileSpec) -> dict:
-    return {
-        "x0": x0,
-        "h": h,
-        "lower": _endpoint_to_json(res.lower),
-        "upper": _endpoint_to_json(res.upper),
-        "n_eff": res.n_eff,
-        "accepted": res.accepted,
-        "method": res.method,
-        "p": q.p,
-        "alpha": q.alpha,
-    }
-
-
-def _error_record(exc: LocalQuantError, x0, h, method: str, q: QuantileSpec) -> dict:
-    """The record of a query that raised `exc`: no interval, and the error."""
-    return {
-        "x0": x0,
-        "h": h,
-        "lower": None,
-        "upper": None,
-        "n_eff": None,
-        "accepted": None,
-        "method": method,
-        "p": q.p,
-        "alpha": q.alpha,
-        "error": {"type": type(exc).__name__, "message": str(exc)},
-    }
+def _record(x0, h, method: str, q: QuantileSpec, outcome) -> dict:
+    """The JSON record of one query by `method`: its interval, when `outcome`
+    is an IntervalResult, or else null endpoints and the error `outcome`."""
+    record = {"x0": x0, "h": h, "lower": None, "upper": None, "n_eff": None,
+              "accepted": None, "method": method.upper(), "p": q.p, "alpha": q.alpha}
+    if isinstance(outcome, IntervalResult):
+        record.update(lower=_endpoint_to_json(outcome.lower),
+                      upper=_endpoint_to_json(outcome.upper),
+                      n_eff=outcome.n_eff, accepted=outcome.accepted)
+    else:
+        record["error"] = {"type": type(outcome).__name__, "message": str(outcome)}
+    return record
 
 
 def _float_list(text: str) -> list[float]:
@@ -357,14 +332,13 @@ def _cmd_ci(args, parser: argparse.ArgumentParser) -> int:
                     _warn_low_neff(res.n_eff, center, bw)
                 else:
                     res = qr_cells(loc, q, [RngStream(args.seed)]).result(0)
-                record = _interval_record(res, center, bw, q)
             except LocalQuantError as exc:
                 failures.append(exc)
-                record = _error_record(exc, center, bw, method.upper(), q)
-            print(json.dumps(record), flush=True)
+                res = exc  # gives an error record
+            print(json.dumps(_record(center, bw, method, q, res)), flush=True)
     if "dfq" in methods:
         res = df_quantile_ci(data.responses, q.p, q.alpha1, q.alpha2)
-        print(json.dumps(_interval_record(res, None, None, q)), flush=True)
+        print(json.dumps(_record(None, None, "dfq", q, res)), flush=True)
     if failures:
         raise failures[0]
     return 0
@@ -484,11 +458,18 @@ def _cmd_indist(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    """A warning as the CLI prints it: its class and message, without the
+    location and source line of the code that warned, which are the CLI's own."""
+    return f"warning: {category.__name__}: {message}\n"
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     command = {"ci": _cmd_ci, "simulate": _cmd_simulate, "target": _cmd_target,
                "indist": _cmd_indist}[args.command]
+    library_format, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         status = command(args, parser)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
@@ -505,6 +486,8 @@ def main(argv=None) -> int:
     except (LocalQuantError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_DATA
+    finally:
+        warnings.formatwarning = library_format
 
 
 if __name__ == "__main__":

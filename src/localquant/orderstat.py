@@ -3,9 +3,12 @@
 The interval [X_(l), X_(u)] covers the p-th quantile with probability at
 least 1 - alpha1 - alpha2 for i.i.d. samples from any distribution, by
 bounding the counts of samples below/above the quantile with Binomial(n, p)
-tails. Ties are handled through the minimum/maximum order-statistic index
-sharing each value; sentinels X_(0) = -inf and X_(n+1) = +inf give one-sided
-or trivial intervals when a tail budget is too small.
+tails, which give the thresholds (L, U) of `_ci_thresholds`. With ties, l is
+the last index of a tie run at or below L and u the first index of a run at
+or above U. Each is one count over the sorted sample x_(1) <= ... <= x_(n):
+l = #{x < x_(L+1)}, or n when L = n, and u = #{x <= x_(U-1)} + 1, or 1 when
+U = 1. The sentinels X_(0) = -inf and X_(n+1) = +inf give one-sided or
+trivial intervals when a tail budget is too small.
 """
 
 from __future__ import annotations
@@ -40,29 +43,9 @@ class TieIndices:
         # NaN equals nothing, so it fails the first test even as the only value
         if not (np.all(values == values) and np.all(values[1:] >= values[:-1])):
             raise ValueError("values must be sorted ascending")
-        # each position takes the rank of the nearest run start at or before it,
-        # and of the nearest run end at or after it
-        ranks, first, last = _tie_marks(values, n)
-        i_min = np.maximum.accumulate(np.where(first, ranks, 0))
-        i_max = np.minimum.accumulate(np.where(last, ranks, n)[::-1])[::-1]
-        return cls(*_read_only(i_min, i_max))
-
-
-def _tie_marks(values: np.ndarray, sizes):
-    """(ranks, first, last) of the ascending samples values[k, :sizes[k]] of the
-    (..., m) `values`, `sizes` of shape (...): the ranks 1..m of the positions,
-    and the masks of the positions inside a sample where a run of equal values
-    starts (first) and ends (last). A run ends where the next value differs or
-    the sample ends."""
-    size = np.asarray(sizes)[..., None]
-    ranks = np.arange(1, values.shape[-1] + 1)
-    inside = ranks <= size
-    change = values[..., 1:] != values[..., :-1]
-    first = inside.copy()
-    first[..., 1:] &= change
-    last = ranks == size
-    last[..., :-1] |= change & inside[..., :-1]
-    return ranks, first, last
+        # i_min = 1 + #{x < x_j} and i_max = #{x <= x_j}
+        return cls(*_read_only(np.searchsorted(values, values, side="left") + 1,
+                               np.searchsorted(values, values, side="right")))
 
 
 def _binom_tables(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
@@ -169,11 +152,13 @@ def binom_cdf(n: int, p: float, k: int) -> float:
 
 
 def _check_levels(p: float, alpha1: float, alpha2: float) -> None:
-    """ValueError unless 0 < p < 1 (NaN fails) and alpha1 + alpha2 <= 1; `ci_ranks`
-    checks each alpha. A sum of exactly 1.0 passes: the split of a valid
-    QuantileSpec (alpha < 1) can round to it."""
+    """ValueError unless 0 < p < 1 (NaN fails), alpha1 and alpha2 lie in [0, 1)
+    and alpha1 + alpha2 <= 1. A sum of exactly 1.0 passes: the split of a
+    valid QuantileSpec (alpha < 1) can round to it."""
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
+    if not (0.0 <= alpha1 < 1.0 and 0.0 <= alpha2 < 1.0):
+        raise ValueError("alpha1 and alpha2 must lie in [0, 1)")
     if alpha1 + alpha2 > 1.0:
         raise ValueError(f"alpha1 + alpha2 must not exceed 1, got {alpha1} + {alpha2}")
 
@@ -186,9 +171,13 @@ def quantile_ci_indices(
     l_hat is the largest i in [0, n] with P(B(n,p) < I_{i,max}) <= alpha1,
     u_hat the smallest j in [1, n+1] with P(B(n,p) >= I_{j,min}) <= alpha2,
     where the sentinel indices I_{0,max} = 0 and I_{n+1,min} = n+1 always
-    qualify. l_hat = 0 / u_hat = n+1 signal infinite endpoints. `ties` must
-    have n entries; p must lie in (0, 1) and alpha1 + alpha2 must not exceed 1.
-    n must be an integer (Python or numpy); a float raises TypeError.
+    qualify. l_hat = 0 / u_hat = n+1 signal infinite endpoints. With the
+    thresholds (L, U) of `_ci_thresholds`, l_hat is the largest i_max <= L,
+    or 0, and u_hat the smallest i_min >= U, or n+1: for the ties of a sorted
+    sample, the counts #{x < x_(L+1)} (n when L = n) and #{x <= x_(U-1)} + 1
+    (1 when U = 1). `ties` must have n entries; the levels are checked as in
+    `_check_levels`. n must be an integer (Python or numpy); a float raises
+    TypeError.
     """
     n = operator.index(n)
     if n < 1:
@@ -196,28 +185,10 @@ def quantile_ci_indices(
     _check_levels(p, alpha1, alpha2)
     if ties.i_min.shape != (n,):
         raise ValueError(f"ties must have n = {n} entries, got {ties.i_min.shape[0]}")
-    l_hat, u_hat = ci_ranks(ties.i_min[None, :], ties.i_max[None, :], [n], p, alpha1, alpha2)
-    return int(l_hat[0]), int(u_hat[0])
-
-
-def ci_ranks(i_min, i_max, sizes, p: float, alpha1: float, alpha2: float):
-    """quantile_ci_indices for many samples at once: arrays (l_hat, u_hat).
-
-    Sample k has size sizes[k] (any shape of samples) and first/last tie
-    indices i_min[k, :]/i_max[k, :] along the last axis (entries may repeat,
-    in any order, and may be the sentinels size + 1 and 0). With the
-    thresholds (L, U) of `_ci_thresholds`, l_hat is the largest i_max <= L
-    (or 0) and u_hat the smallest i_min >= U (or size + 1): the last index
-    of a tie run is its i_max and the first its i_min.
-    """
-    if not (0.0 <= alpha1 < 1.0 and 0.0 <= alpha2 < 1.0):
-        raise ValueError("alpha1 and alpha2 must lie in [0, 1)")
-    sizes = np.asarray(sizes)
-    bounds = np.array([_ci_thresholds(n, p, alpha1, alpha2) for n in sizes.ravel().tolist()])
-    bounds = bounds.reshape(sizes.shape + (2,))
-    l_hat = np.where(i_max <= bounds[..., :1], i_max, 0).max(axis=-1)
-    u_hat = np.where(i_min >= bounds[..., 1:], i_min, sizes[..., None] + 1).min(axis=-1)
-    return l_hat, u_hat
+    lower, upper = _ci_thresholds(n, p, alpha1, alpha2)
+    l_hat = np.where(ties.i_max <= lower, ties.i_max, 0).max()
+    u_hat = np.where(ties.i_min >= upper, ties.i_min, n + 1).min()
+    return int(l_hat), int(u_hat)
 
 
 def sorted_quantile_cis(values, sizes, p: float, alpha1: float, alpha2: float):
@@ -225,36 +196,42 @@ def sorted_quantile_cis(values, sizes, p: float, alpha1: float, alpha2: float):
 
     Sample k is values[k, :sizes[k]] of the (..., m) `values`, ascending, with
     +inf after it; `sizes` has the shape (...). Returns the arrays (lower,
-    upper); an empty sample gets the trivial interval (-inf, inf).
+    upper); an empty sample gets the trivial interval (-inf, inf). The levels
+    are checked as in `_check_levels`.
 
-    The entry at position j of a sample has rank j + 1, so a tie run's i_min
-    and i_max are the ranks where adjacent values change or the sample ends.
-    Every position outside a sample carries the sentinels i_max = 0 and
-    i_min = size + 1, which the threshold search of `ci_ranks` already admits.
-    The endpoints are read by rank from the samples padded with -inf before
-    and +inf after.
+    With x_(0) = -inf, the sample x_(1..size), x_(size+1) = +inf and the
+    thresholds (L, U) of `_ci_thresholds`, each sample's indices are two
+    counts: l_hat = #{x < x_(L+1)}, or size when L = size, and
+    u_hat = #{x <= x_(U-1)} + 1, or 1 when U = 1. The counts run over the
+    whole row: the +inf after a sample is never < x_(L+1), and is <= x_(U-1)
+    only when that is +inf, where u_hat may pass size + 1 but still reads
+    +inf. The endpoints x_(l_hat) and x_(u_hat) are read from the rows padded
+    with -inf before and +inf after.
     """
+    _check_levels(p, alpha1, alpha2)
     sizes = np.asarray(sizes)
-    if values.shape[-1] == 0:  # one column of padding keeps the searches nonempty
-        values = np.full(sizes.shape + (1,), math.inf)
-    ranks, first, last = _tie_marks(values, sizes)
-    l_hat, u_hat = ci_ranks(np.where(first, ranks, sizes[..., None] + 1),
-                            np.where(last, ranks, 0), sizes, p, alpha1, alpha2)
+    bounds = np.array([_ci_thresholds(n, p, alpha1, alpha2) for n in sizes.ravel().tolist()],
+                      dtype=np.intp).reshape(sizes.shape + (2,))
+    lower, upper = bounds[..., 0], bounds[..., 1]
     pad = np.full(values.shape[:-1] + (1,), math.inf)
     padded = np.concatenate((-pad, values, pad), axis=-1)
+    marks = np.take_along_axis(padded, np.stack((lower + 1, upper - 1), axis=-1), axis=-1)
+    below = np.count_nonzero(values < marks[..., :1], axis=-1)
+    at_most = np.count_nonzero(values <= marks[..., 1:], axis=-1)
+    l_hat = np.where(lower == sizes, sizes, below)
+    u_hat = np.where(upper == 1, 1, at_most + 1)
     ends = np.take_along_axis(padded, np.stack((l_hat, u_hat), axis=-1), axis=-1)
     return ends[..., 0], ends[..., 1]
 
 
 def df_quantile_ci(ys, p: float, alpha1: float, alpha2: float) -> IntervalResult:
     """Distribution-free CI for the p-th quantile of an i.i.d. sample; NaN raises
-    DomainError, and levels are checked as in `quantile_ci_indices`."""
+    DomainError, and levels are checked as in `_check_levels`."""
     ys = np.asarray(ys, dtype=float)
     if ys.ndim != 1 or ys.shape[0] < 1:
         raise ValueError("ys must be a nonempty 1-d array")
     if np.isnan(ys).any():
         raise DomainError("responses cannot be NaN")
-    _check_levels(p, alpha1, alpha2)
     n = ys.shape[0]
     values = ys + 0.0  # one sign of zero, as in every Dataset array
     values.sort()

@@ -34,7 +34,16 @@ from localquant import (
     wq_interval,
 )
 from localquant import cli
-from localquant.cli import load_csv, main, parse_endpoint
+from localquant.cli import load_csv, main
+
+
+def parse_endpoint(value) -> float:
+    """Inverse of the JSON endpoint encoding ("-inf"/"inf" strings)."""
+    if value == "inf":
+        return math.inf
+    if value == "-inf":
+        return -math.inf
+    return float(value)
 
 
 SIM_CONFIG = (
@@ -723,6 +732,32 @@ def test_ci_answers_every_query_around_a_failed_one(tmp_path):
         "method": "WQ", "p": 0.5, "alpha": 0.1,
         "error": {"type": "AllWeightsZero", "message": "all localization weights are zero"},
     }
+
+
+def test_ci_low_neff_warning_shows_no_cli_source(tmp_path, capsys):
+    # the warning was attributed to the `status = command(args, parser)` line of
+    # cli.main, so stderr showed a path into cli.py and echoed that line
+    path = tmp_path / "three.csv"
+    write_csv(path, ["x", "y"], [[0.5, 1.0], [0.51, 2.0], [0.9, 3.0]])
+    argv = ["ci", "--data", str(path), "--x-cols", "x", "--y-col", "y", "--x0", "0.5",
+            "--h", "0.1", "--method", "wq"]
+    proc = _run_python("-m", "localquant.cli", *argv)
+    assert proc.returncode == 0 and len(proc.stdout.splitlines()) == 1
+    assert proc.stderr == (
+        "warning: LowEffectiveSampleSizeWarning: effective sample size 1.99 < 10 at "
+        "x0 = [0.5], h = [0.1]; coverage of the WQ interval is not reliable\n"
+    )
+    # in process, main formats warnings its own way only while it runs
+    def show(message, category, filename, lineno, file=None, line=None):
+        sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+    library_format = warnings.formatwarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = show
+        code, _, err = run_cli(capsys, argv)
+    assert (code, err) == (0, proc.stderr)
+    assert warnings.formatwarning is library_format
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy is glibc's")

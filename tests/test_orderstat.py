@@ -1,7 +1,10 @@
+import ast
+import inspect
 import math
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +16,8 @@ from localquant import (DomainError, QuantileSpec, TieIndices, binom_cdf, df_qua
                         quantile_ci_indices)
 from localquant import orderstat
 from localquant.orderstat import sorted_quantile_cis
+
+import interval_reference as ref
 
 
 def binom_cdf_oracle(n, p, k):
@@ -251,7 +256,7 @@ def test_df_ci_rejects_nan(ys):
 
 @pytest.mark.parametrize("p", [0.01, 0.2, 0.5, 0.8, 0.99])
 def test_empty_sample_thresholds_give_trivial_interval(p):
-    # ci_ranks relies on (0, 1) for an empty subsample: no lower, no upper rank
+    # sorted_quantile_cis relies on (0, 1) for an empty sample: no lower, no upper rank
     alphas = [0.0, 1e-9, 0.01, 0.05, 0.1, 0.5, 0.99]
     for alpha1 in alphas:
         for alpha2 in alphas:
@@ -542,3 +547,56 @@ def test_sorted_quantile_cis_of_empty_samples_only():
                                            0.5, 0.05, 0.05)
         assert lower.shape == upper.shape == (2, 3)
         assert np.all(lower == -math.inf) and np.all(upper == math.inf)
+
+
+def defined_ties(sample):
+    """i_min = 1 + #{x < x_j} and i_max = #{x <= x_j} of each value x_j of `sample`."""
+    return SimpleNamespace(i_min=1 + np.sum(sample[None, :] < sample[:, None], axis=1),
+                           i_max=np.sum(sample[None, :] <= sample[:, None], axis=1))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_count_rule_matches_the_reference_indices(seed):
+    # rounded values in long tie runs, -inf and +inf inside samples, empty
+    # samples, rows as wide as the largest sample or one wider, (C,) and (R, C)
+    # batches, and levels with alpha1 or alpha2 = 0; samples of 1-3 values at
+    # alpha 0.2 or 0.5 give L = size and U = 1
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        p = float(rng.choice([0.1, 0.3, 0.5, 0.8]))
+        alpha1, alpha2 = rng.choice([0.0, 0.01, 0.05, 0.2, 0.5], size=2).tolist()
+        shape = tuple(rng.integers(1, 6 if rng.random() < 0.5 else 4, size=rng.integers(1, 3)))
+        sizes = rng.integers(0, rng.choice([4, 25]), size=shape)
+        values = np.full(shape + (int(sizes.max()) + int(rng.integers(0, 2)),), math.inf)
+        for k in np.ndindex(shape):
+            sample = np.round(rng.normal(size=sizes[k]) * rng.choice([0.3, 3.0]))
+            sample[rng.random(sizes[k]) < 0.1] = math.inf
+            sample[rng.random(sizes[k]) < 0.1] = -math.inf
+            values[k][:sizes[k]] = np.sort(sample)
+        lower, upper = sorted_quantile_cis(values, sizes, p, alpha1, alpha2)
+        for k in np.ndindex(shape):
+            n = int(sizes[k])
+            if n == 0:
+                assert (lower[k], upper[k]) == (-math.inf, math.inf)
+                continue
+            sample = values[k][:n]
+            ties = defined_ties(sample)
+            got = TieIndices.from_sorted(sample)
+            assert np.array_equal(got.i_min, ties.i_min) and np.array_equal(got.i_max, ties.i_max)
+            l_hat, u_hat = ref.ci_indices(n, ties, p, alpha1, alpha2)
+            ends = np.concatenate(([-math.inf], sample, [math.inf]))
+            assert (lower[k], upper[k]) == (ends[l_hat], ends[u_hat]), (sample, p, alpha1, alpha2)
+
+
+def test_orderstat_imports_neither_fractions_decimal_nor_scipy():
+    # importing fractions (which loads decimal) cost 0.28-0.4 MB of benchmark
+    # peak RSS; `import localquant.orderstat` runs the package __init__, which
+    # loads scipy through other modules, so the module's own source is read
+    tree = ast.parse(inspect.getsource(orderstat))
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module]
+    assert "numpy" in modules
+    assert not [name for name in modules
+                if name.split(".")[0] in ("decimal", "fractions", "scipy")]
